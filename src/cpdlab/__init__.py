@@ -85,7 +85,6 @@ from .evaluate import (
     EvalReport,
     LocalisationErrorReport,
     batch_cusum_statistics,
-    cross_scenario,
     evaluate_classifier,
     localisation_rmse,
     mer_from_predictions,

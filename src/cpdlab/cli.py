@@ -9,6 +9,7 @@ configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -74,18 +75,17 @@ def _parse_preprocess(text: str) -> Preprocessor:
     return Preprocessor(tuple(channels))
 
 
-def _statistic(method: str):
+def _statistics(method: str, X: np.ndarray) -> np.ndarray:
+    """Scan statistic of every row of ``X`` for a scan ``method``."""
     if method == "cusum":
-        return lambda row: cusum.cusum_statistic(row)[0]
+        return cusum.cusum_statistic(X)[0]
     if method == "cusum-star":
-        return lambda row: cusum.cusum_star_statistic(row)[0]
-    if method == "wilcoxon":
-        return lambda row: wilcoxon_statistic(row)[0]
-    if method == "variance":
-        return lambda row: glr.lr_variance_scan(row)[0]
-    if method == "slope":
-        return lambda row: glr.lr_slope_scan(row)[0]
-    raise ValueError(f"unknown method {method!r}")
+        return cusum.cusum_star_statistic(X)[0]
+    scans = {"wilcoxon": wilcoxon_statistic, "variance": glr.lr_variance_scan,
+             "slope": glr.lr_slope_scan}
+    if method not in scans:
+        raise ValueError(f"unknown method {method!r}")
+    return np.array([scans[method](row)[0] for row in X])
 
 
 def _cmd_simulate(args) -> int:
@@ -135,10 +135,9 @@ def _cmd_detect(args) -> int:
         scores, preds = forward(net, pre.apply(dataset.values))
         stats = scores if scores.ndim == 1 else scores.max(axis=1)
     else:
-        stat_fn = _statistic(args.method)
         if args.threshold is None or args.threshold <= 0:
             raise ValueError("--threshold must be a positive number for scan methods")
-        stats = np.array([stat_fn(row) for row in dataset.values])
+        stats = _statistics(args.method, dataset.values)
         preds = (stats > args.threshold).astype(np.int64)
     report = mer_from_predictions(dataset.labels, preds, threshold=args.threshold,
                                   fingerprint=dataset.fingerprint())
@@ -197,14 +196,14 @@ def _cmd_evaluate(args) -> int:
         _, preds = forward(net, pre.apply(test_set.values))
         threshold = None
     else:
-        stat_fn = _statistic(args.method)
         threshold = args.threshold
         if threshold is None:
             if not args.train:
                 raise ValueError("provide --threshold or --train data to tune on")
             train_set = load_dataset(args.train)
-            threshold = tune_threshold(stat_fn, train_set)
-        stats = np.array([stat_fn(row) for row in test_set.values])
+            threshold = tune_threshold(
+                None, train_set, stats=_statistics(args.method, train_set.values))
+        stats = _statistics(args.method, test_set.values)
         preds = (stats > threshold).astype(np.int64)
     report = mer_from_predictions(test_set.labels, preds, threshold=threshold,
                                   seed=seed, fingerprint=test_set.fingerprint())
@@ -218,11 +217,10 @@ def _cmd_reproduce(args) -> int:
     seed = _seed(args)
     overrides = {}
     if args.reps is not None:
+        if "reps" not in inspect.signature(RECIPES[args.recipe]).parameters:
+            raise ValueError(f"recipe {args.recipe!r} does not accept --reps")
         overrides["reps"] = args.reps
-    try:
-        report = run_recipe(args.recipe, seed, **overrides)
-    except TypeError:
-        raise ValueError(f"recipe {args.recipe!r} does not accept --reps") from None
+    report = run_recipe(args.recipe, seed, **overrides)
     write_report(report, args.out)
     print(f"recipe {args.recipe} (seed {seed}) -> {args.out}")
     return 0
@@ -238,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (falls back to CPD_SEED, then 7)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; the current implementation is single-threaded")
 
     p = sub.add_parser("simulate", help="generate a labelled dataset CSV")
     add_common(p)
@@ -317,8 +313,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

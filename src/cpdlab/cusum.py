@@ -12,7 +12,9 @@ change at ``i``, and the full scan maximises it over all ``i``.  A
 dyadic-grid variant evaluates only O(log n) contrasts and loses at most
 a fixed fraction of the peak response (see :func:`step_response`).
 
-All functions are pure; the contrast matrix returned by
+The transform and both statistics work along the last axis, on one
+series of shape (n,) or a batch of shape (N, n); the classifiers take
+one series.  All functions are pure; the contrast matrix returned by
 :func:`cusum_basis` is cached per length and marked read-only so it can
 be shared across workers.
 """
@@ -48,8 +50,16 @@ def as_series(x, min_len: int = 2) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
-    if arr.size < min_len:
-        raise ValueError(f"series must have length >= {min_len}, got {arr.size}")
+    return _as_rows(arr, min_len)
+
+
+def _as_rows(x, min_len: int = 2) -> np.ndarray:
+    """Validate one series of shape (n,) or a batch of shape (N, n) as float64."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"series must have shape (n,) or (N, n), got shape {arr.shape}")
+    if arr.shape[-1] < min_len:
+        raise ValueError(f"series must have length >= {min_len}, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("series contains non-finite entries")
     return arr
@@ -65,34 +75,51 @@ def cusum_basis(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"basis needs length >= 2, got n={n}")
     i = np.arange(1, n, dtype=np.float64)[:, None]
-    pos = np.sqrt((n - i) / (i * n))
-    neg = -np.sqrt(i / ((n - i) * n))
     cols = np.arange(1, n + 1, dtype=np.float64)[None, :]
-    basis = np.where(cols <= i, pos, neg)
+    basis = _step_contrast(cols <= i, cols > i, i, n)
     basis.flags.writeable = False
     return basis
 
 
-def cusum_transform(x) -> np.ndarray:
-    """Apply every step contrast to ``x``, returning the length n-1 scan vector.
+def _step_contrast(head, tail, i, n: int):
+    """Contrast v_i . x of a length-``n`` series from its head and tail sums.
 
-    Evaluated in O(n) via prefix sums; entry ``i-1`` equals ``v_i . x``.
-    The map is linear in ``x`` and annihilates constant shifts.
+    ``head`` is the sum of the first ``i`` entries and ``tail`` the sum of
+    the remaining ``n - i``; all three broadcast against each other.
     """
-    x = as_series(x)
-    n = x.size
-    s = np.cumsum(x)
-    i = np.arange(1, n)
-    head = s[:-1]
-    tail = s[-1] - head
     return np.sqrt((n - i) / (i * n)) * head - np.sqrt(i / ((n - i) * n)) * tail
 
 
-def cusum_statistic(x) -> tuple[float, int]:
-    """Return ``(max_i |v_i . x|, argmax i)`` with the smallest i on ties."""
+def cusum_transform(x) -> np.ndarray:
+    """Apply every step contrast along the last axis of ``x``.
+
+    ``x`` is one series (n,) or a batch (N, n); the result has shape
+    (n-1,) or (N, n-1).  Evaluated in O(n) per series via prefix sums;
+    entry ``i-1`` equals ``v_i . x``.  The map is linear in ``x`` and
+    annihilates constant shifts.
+    """
+    x = _as_rows(x)
+    n = x.shape[-1]
+    s = np.cumsum(x, axis=-1)
+    head = s[..., :-1]
+    return _step_contrast(head, s[..., -1:] - head, np.arange(1, n), n)
+
+
+def _peak(t: np.ndarray, points: np.ndarray):
+    """Largest entry of ``t`` along the last axis and its scan point, first on ties."""
+    k = np.argmax(t, axis=-1)
+    if t.ndim == 1:
+        return float(t[k]), int(points[k])
+    return t.max(axis=-1), points[k]
+
+
+def cusum_statistic(x):
+    """Return ``(max_i |v_i . x|, argmax i)`` with the smallest i on ties.
+
+    For a batch (N, n) both entries are length-N arrays.
+    """
     t = np.abs(cusum_transform(x))
-    k = int(np.argmax(t))
-    return float(t[k]), k + 1
+    return _peak(t, np.arange(1, t.shape[-1] + 1))
 
 
 def cusum_classify(x, threshold: float) -> int:
@@ -101,7 +128,7 @@ def cusum_classify(x, threshold: float) -> int:
     Ties with the threshold classify as 0.
     """
     _check_threshold(threshold)
-    return int(cusum_statistic(x)[0] > threshold)
+    return int(cusum_statistic(as_series(x))[0] > threshold)
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,19 +148,20 @@ def dyadic_grid(n: int) -> np.ndarray:
     return grid
 
 
-def cusum_star_statistic(x) -> tuple[float, int]:
-    """Return ``(max over the dyadic grid of |v_t . x|, argmax t)``."""
-    x = as_series(x, min_len=4)
-    grid = dyadic_grid(x.size)
-    t = np.abs(cusum_transform(x)[grid - 1])
-    k = int(np.argmax(t))
-    return float(t[k]), int(grid[k])
+def cusum_star_statistic(x):
+    """Return ``(max over the dyadic grid of |v_t . x|, argmax t)``.
+
+    For a batch (N, n) both entries are length-N arrays.
+    """
+    x = _as_rows(x, min_len=4)
+    grid = dyadic_grid(x.shape[-1])
+    return _peak(np.abs(cusum_transform(x)[..., grid - 1]), grid)
 
 
 def cusum_star_classify(x, threshold: float) -> int:
     """Dyadic-grid analogue of :func:`cusum_classify`."""
     _check_threshold(threshold)
-    return int(cusum_star_statistic(x)[0] > threshold)
+    return int(cusum_star_statistic(as_series(x))[0] > threshold)
 
 
 def null_threshold(n: int, eps: float) -> float:

@@ -53,7 +53,7 @@ def load_dataset(path) -> LabeledDataset:
     """Read a dataset written by :func:`save_dataset`.
 
     Raises ``ValueError`` naming the offending column or line on any
-    schema mismatch.
+    schema mismatch or non-finite value.
     """
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
@@ -66,7 +66,7 @@ def load_dataset(path) -> LabeledDataset:
     for j, name in enumerate(header[2:], start=1):
         if name != f"x{j}":
             raise ValueError(f"{path}: expected column 'x{j}', found {name!r}")
-    values, labels, metas = [], [], []
+    values, labels, metas, linenos = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -84,9 +84,10 @@ def load_dataset(path) -> LabeledDataset:
         values.append(row)
         labels.append(label)
         metas.append({"tau": tau, "label": label})
+        linenos.append(lineno)
     if not values:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(np.asarray(values), np.asarray(labels), metas)
+    return LabeledDataset(_finite_rows(path, values, linenos), np.asarray(labels), metas)
 
 
 def save_values(rows: np.ndarray, path) -> None:
@@ -97,13 +98,12 @@ def save_values(rows: np.ndarray, path) -> None:
 
 
 def load_values(path) -> np.ndarray:
-    """Read plain series rows written by :func:`save_values`."""
-    lines = [ln for ln in Path(path).read_text(encoding="ascii").splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty values file")
-    rows = []
+    """Read plain series rows written by :func:`save_values`; non-finite values raise."""
+    rows, linenos = [], []
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
             row = [float(v) for v in line.split(",")]
         except ValueError as exc:
@@ -113,7 +113,20 @@ def load_values(path) -> np.ndarray:
         elif len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
         rows.append(row)
-    return np.asarray(rows)
+        linenos.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: empty values file")
+    return _finite_rows(path, rows, linenos)
+
+
+def _finite_rows(path, rows: list, linenos) -> np.ndarray:
+    """Stack parsed rows, rejecting ``nan`` and ``inf`` with the first offending line."""
+    values = np.asarray(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}:{linenos[r]}: non-finite value {float(values[r, c])!r}")
+    return values
 
 
 def jsonable(obj):

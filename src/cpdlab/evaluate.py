@@ -21,7 +21,6 @@ from .simulate import LabeledDataset, gen_piecewise
 
 __all__ = [
     "EvalReport",
-    "cross_scenario",
     "BoundCheck",
     "LocalisationErrorReport",
     "mer_from_predictions",
@@ -90,17 +89,6 @@ def evaluate_classifier(predict, dataset: LabeledDataset, **kwargs) -> EvalRepor
     return mer_from_predictions(dataset.labels, preds, **kwargs)
 
 
-def cross_scenario(predict, test_dataset: LabeledDataset, **kwargs) -> EvalReport:
-    """Score a classifier on data from a scenario it was not trained on.
-
-    Evaluation is the plain misclassification count; the point of the
-    separate entry is the workflow: train under one noise regime, then
-    measure how the decision rule transfers to another.  With matched
-    scenarios this coincides with :func:`evaluate_classifier`.
-    """
-    return evaluate_classifier(predict, test_dataset, **kwargs)
-
-
 def tune_threshold(stat_fn, dataset: LabeledDataset, grid=None, grid_size: int = 200,
                    stats=None) -> float:
     """Grid-search the decision threshold minimising training MER.
@@ -133,14 +121,7 @@ def tune_threshold(stat_fn, dataset: LabeledDataset, grid=None, grid_size: int =
 
 def batch_cusum_statistics(X: np.ndarray) -> np.ndarray:
     """Full-scan statistics max_i |v_i . x| for every row of ``X``."""
-    X = np.asarray(X, dtype=np.float64)
-    reps, n = X.shape
-    s = np.cumsum(X, axis=1)
-    i = np.arange(1, n)
-    head = s[:, :-1]
-    tail = s[:, -1][:, None] - head
-    transform = np.sqrt((n - i) / (i * n)) * head - np.sqrt(i / ((n - i) * n)) * tail
-    return np.abs(transform).max(axis=1)
+    return cusum.cusum_statistic(X)[0]
 
 
 @dataclass

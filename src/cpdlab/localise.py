@@ -10,16 +10,21 @@ the position of the largest running mean (smallest index on ties).
 Positions are 1-based: window ``i`` covers series entries ``i`` to
 ``i + n - 1``, and an estimated change point ``t`` means the generating
 distribution shifts between entries ``t`` and ``t + 1``.
+
+A classifier is a :class:`WindowClassifier`: a window length plus one
+function that labels every window of a series in a single call.
+:func:`binary_window_classifier` lifts a per-window decision function
+into that form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cusum import as_series, cusum_star_statistic, dyadic_grid
+from .cusum import _step_contrast, as_series, dyadic_grid
 
 __all__ = [
     "WindowClassifier",
@@ -34,18 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowClassifier:
-    """A window length plus a decision function ``window -> (label, probability)``.
+    """A window length plus a labeller of every window of a long series.
 
-    ``label_series``, when provided, labels every window of a long
-    series in one call and must agree with per-window classification;
-    the localiser uses it to avoid a Python loop per offset.
+    ``label_series(series)`` receives a series already validated by
+    :func:`sliding_labels` and returns ``(labels, probabilities)``, one
+    entry per offset: entry ``i-1`` is the verdict on the window starting
+    at position ``i``.
     """
 
     length: int
-    classify: Callable[[np.ndarray], tuple[int, float]]
-    label_series: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, compare=False
-    )
+    label_series: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if self.length < 4:
@@ -53,13 +56,14 @@ class WindowClassifier:
 
 
 def binary_window_classifier(length: int, decide: Callable[[np.ndarray], int]) -> WindowClassifier:
-    """Wrap a plain 0/1 decision function; probability echoes the label."""
+    """Lift a plain 0/1 decision on one window; probability echoes the label."""
 
-    def classify(window):
-        label = int(decide(window))
-        return label, float(label)
+    def label_series(series):
+        windows = np.lib.stride_tricks.sliding_window_view(series, length)
+        labels = np.array([int(decide(w)) for w in windows], dtype=np.int64)
+        return labels, labels.astype(np.float64)
 
-    return WindowClassifier(length, classify)
+    return WindowClassifier(length, label_series)
 
 
 def network_window_classifier(net, preprocessor=None) -> WindowClassifier:
@@ -76,23 +80,14 @@ def network_window_classifier(net, preprocessor=None) -> WindowClassifier:
     length = (net.architecture.input_dim if preprocessor is None
               else _preprocessed_window_length(net, preprocessor))
 
-    def features(window):
-        return window if preprocessor is None else preprocessor.apply(window)
-
-    def classify(window):
-        feats = features(window)
-        _, label = forward(net, feats)
-        return int(label), float(predict_proba(net, feats))
-
     def label_series(series):
-        n = length
-        windows = np.lib.stride_tricks.sliding_window_view(series, n)
-        feats = features(windows)
+        windows = np.lib.stride_tricks.sliding_window_view(series, length)
+        feats = windows if preprocessor is None else preprocessor.apply(windows)
         _, labels = forward(net, feats)
         probs = predict_proba(net, feats)
         return labels.astype(np.int64), np.asarray(probs, dtype=np.float64)
 
-    return WindowClassifier(length, classify, label_series)
+    return WindowClassifier(length, label_series)
 
 
 def _preprocessed_window_length(net, preprocessor) -> int:
@@ -103,38 +98,30 @@ def _preprocessed_window_length(net, preprocessor) -> int:
 
 
 def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassifier:
-    """Dyadic-grid CUSUM scan as a window classifier, with a vectorised path.
+    """Dyadic-grid CUSUM scan as a window classifier.
 
-    The vectorised path evaluates every contrast on every window through
-    prefix sums of the full series; it matches the per-window scan up to
-    rounding of order 1e-12, which only matters for statistics exactly
-    at the threshold.
+    Every contrast is evaluated on every window at once from prefix sums
+    of the full series; this matches the per-window scan up to rounding
+    of order 1e-12, which only matters for statistics exactly at the
+    threshold.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     grid = dyadic_grid(length)
 
-    def classify(window):
-        label = int(cusum_star_statistic(window)[0] > threshold)
-        return label, float(label)
-
     def label_series(series):
-        series = as_series(series, min_len=length)
         n = length
+        count = series.size - n + 1
         prefix = np.concatenate([[0.0], np.cumsum(series)])
-        offsets = np.arange(series.size - n + 1)
-        best = np.zeros(offsets.size)
+        start, stop = prefix[:count], prefix[n:]
+        best = np.zeros(count)
         for t in grid:
-            head = prefix[offsets + t] - prefix[offsets]
-            tail = prefix[offsets + n] - prefix[offsets + t]
-            stat = np.abs(
-                np.sqrt((n - t) / (t * n)) * head - np.sqrt(t / ((n - t) * n)) * tail
-            )
-            np.maximum(best, stat, out=best)
+            split = prefix[t:t + count]
+            np.maximum(best, np.abs(_step_contrast(split - start, stop - split, t, n)), out=best)
         labels = (best > threshold).astype(np.int64)
         return labels, labels.astype(np.float64)
 
-    return WindowClassifier(length, classify, label_series)
+    return WindowClassifier(length, label_series)
 
 
 def sliding_labels(series, classifier: WindowClassifier):
@@ -143,19 +130,9 @@ def sliding_labels(series, classifier: WindowClassifier):
     Returns ``(labels, probabilities)`` of length ``len(series) - n + 1``;
     entry ``i-1`` is the verdict on the window starting at position ``i``.
     """
-    n = classifier.length
-    series = as_series(series, min_len=n)
-    if classifier.label_series is not None:
-        labels, probs = classifier.label_series(series)
-        return np.asarray(labels, dtype=np.int64), np.asarray(probs, dtype=np.float64)
-    count = series.size - n + 1
-    labels = np.empty(count, dtype=np.int64)
-    probs = np.empty(count)
-    for i in range(count):
-        label, prob = classifier.classify(series[i:i + n])
-        labels[i] = label
-        probs[i] = prob
-    return labels, probs
+    series = as_series(series, min_len=classifier.length)
+    labels, probs = classifier.label_series(series)
+    return np.asarray(labels, dtype=np.int64), np.asarray(probs, dtype=np.float64)
 
 
 @dataclass

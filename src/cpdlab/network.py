@@ -224,7 +224,7 @@ class Preprocessor:
                 elif name == "lag_product":
                     v = lag_product(v)
                 else:
-                    v = np.array([zscore_truncate(row, step[1]) for row in v])
+                    v = zscore_truncate(v, step[1])
             if v.shape[1] < n:
                 pad = np.zeros((v.shape[0], n - v.shape[1]))
                 v = np.hstack([v, pad])

@@ -187,6 +187,14 @@ def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
     }
 
 
+def _scan_statistics(kind: str, X: np.ndarray) -> np.ndarray:
+    """Statistic of every row of ``X`` under the "mean", "variance" or "slope" scan."""
+    if kind == "mean":
+        return cusum.cusum_statistic(X)[0]
+    scan = glr.lr_variance_scan if kind == "variance" else glr.lr_slope_scan
+    return np.array([scan(row)[0] for row in X])
+
+
 def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray:
     """Type-matched likelihood detectors, one binary test per example.
 
@@ -195,16 +203,11 @@ def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray
     (5, else 4).  This mirrors pre-specifying the change type under test.
     """
     preds = np.empty(len(dataset), dtype=np.int64)
-    for k, (row, label) in enumerate(zip(dataset.values, dataset.labels)):
-        if label in (1, 2):
-            fired = glr.oracle_classify(row, "mean", thresholds["mean"])
-            preds[k] = 2 if fired else 1
-        elif label == 3:
-            fired = glr.oracle_classify(row, "variance", thresholds["variance"])
-            preds[k] = 3 if fired else 1
-        else:
-            fired = glr.oracle_classify(row, "slope", thresholds["slope"])
-            preds[k] = 5 if fired else 4
+    for kind, classes, fired, idle in (("mean", (1, 2), 2, 1), ("variance", (3,), 3, 1),
+                                       ("slope", (4, 5), 5, 4)):
+        mask = np.isin(dataset.labels, classes)
+        stats = _scan_statistics(kind, dataset.values[mask])
+        preds[mask] = np.where(stats > thresholds[kind], fired, idle)
     return preds
 
 
@@ -233,12 +236,7 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
     for kind, positive, negatives in (("mean", 2, (1,)), ("variance", 3, (1,)), ("slope", 5, (4,))):
         mask = np.isin(train_set.labels, (positive, *negatives))
         binary = _subset(train_set, mask, (train_set.labels[mask] == positive).astype(np.int64))
-        stat_fn = {
-            "mean": lambda row: cusum.cusum_statistic(row)[0],
-            "variance": lambda row: glr.lr_variance_scan(row)[0],
-            "slope": lambda row: glr.lr_slope_scan(row)[0],
-        }[kind]
-        thresholds[kind] = tune_threshold(stat_fn, binary)
+        thresholds[kind] = tune_threshold(None, binary, stats=_scan_statistics(kind, binary.values))
 
     oracle_report = mer_from_predictions(
         test_set.labels, _oracle_predictions(test_set, thresholds),

@@ -19,11 +19,9 @@ back to that band.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .cusum import as_series
+from .cusum import _as_rows, as_series
 
 __all__ = [
     "wilcoxon_statistic",
@@ -132,15 +130,17 @@ def wilcoxon_classify(x, threshold: float) -> int:
 def zscore_truncate(x, z: float) -> np.ndarray:
     """Clip entries beyond ``z`` population standard deviations from the mean.
 
+    ``x`` is one series (n,) or a batch (N, n), clipped row by row.
     Entries within the band are returned unchanged; the rest move to
     ``mean +/- z*sd``.  A constant series (zero standard deviation) is
     returned as is.
     """
     if not z > 0:
         raise ValueError(f"z must be positive, got {z}")
-    x = as_series(x)
-    mean = float(x.mean())
-    sd = math.sqrt(float(np.mean((x - mean) ** 2)))
-    if sd == 0.0:
-        return x.copy()
-    return np.clip(x, mean - z * sd, mean + z * sd)
+    # Row-major layout makes each row's sums add in the same order as for
+    # a single series, so batch and per-row results agree bit for bit.
+    x = np.ascontiguousarray(_as_rows(x))
+    mean = x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(np.mean((x - mean) ** 2, axis=-1, keepdims=True))
+    clipped = np.clip(x, mean - z * sd, mean + z * sd)
+    return np.where(sd == 0.0, x, clipped)

@@ -7,6 +7,8 @@ import pytest
 
 from cpdlab.cli import main
 from cpdlab.dataio import load_dataset, save_values
+from cpdlab.network import Preprocessor, embed_cusum, network_to_json
+from cpdlab.recipes import RECIPES
 from cpdlab.simulate import gen_piecewise
 
 
@@ -108,8 +110,37 @@ def test_exit_codes(tmp_path):
                 "--data", tmp_path / "absent.csv", "--out", tmp_path / "y.json"]) == 2
     # bad scenario -> 2
     assert run(["simulate", "--scenario", "S9", "--out", tmp_path / "z.csv"]) == 2
-    # bad threads -> 2
-    assert run(["simulate", "--threads", 0, "--out", tmp_path / "w.csv"]) == 2
+
+
+def test_reps_support_comes_from_the_recipe_signature(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    # grid-check takes no reps -> usage error 2
+    assert run(["reproduce", "grid-check", "--reps", 5, "--out", out]) == 2
+
+    def broken(seed, *, reps=10):
+        raise TypeError("internal bug")
+
+    # a TypeError raised inside a recipe is a runtime failure, with or without --reps
+    monkeypatch.setitem(RECIPES, "grid-check", broken)
+    assert run(["reproduce", "grid-check", "--out", out]) == 1
+    assert run(["reproduce", "grid-check", "--reps", 5, "--out", out]) == 1
+
+
+def test_non_finite_csv_exits_two(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("label,tau,x1,x2,x3,x4\n0,,0.0,1.0,0.5,0.2\n"
+                    "1,2,nan,0.0,1.0,1.0\n1,2,0.0,inf,1.0,1.0\n")
+    net = tmp_path / "net.json"
+    net.write_text(network_to_json(embed_cusum(4, 1.0), Preprocessor((("identity",),))))
+    out = tmp_path / "r.json"
+    assert run(["detect", "--method", "net", "--net", net, "--data", data, "--out", out]) == 2
+    assert run(["detect", "--method", "cusum", "--threshold", 1.0, "--data", data,
+                "--out", out]) == 2
+    assert not out.exists()
+    values = tmp_path / "v.csv"
+    values.write_text("0.0,1.0,0.0,1.0,0.0,1.0,0.0,1.0\n0.0,1.0,0.0,-inf,0.0,1.0,0.0,1.0\n")
+    assert run(["localise", "--data", values, "--window", 4, "--threshold", 1.0,
+                "--out", out]) == 2
 
 
 def test_detect_flat_csv_output(tmp_path):

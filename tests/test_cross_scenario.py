@@ -5,7 +5,6 @@ import pytest
 
 from cpdlab import cusum
 from cpdlab.evaluate import (
-    cross_scenario,
     evaluate_classifier,
     localisation_rmse,
     mer_from_predictions,
@@ -20,12 +19,6 @@ def _trained_net(scenario, size, seed, epochs=200):
     net = train(pre.apply(train_set.values), train_set.labels,
                 Architecture(100, (198,), 1), TrainConfig(epochs=epochs, seed=seed))
     return net, pre
-
-
-def test_matched_scenario_equals_plain_evaluation():
-    ds = gen_scenario(ScenarioSpec("S1", size=60, role="test"), seed=0)
-    predict = lambda row: cusum.cusum_classify(row, 3.0)
-    assert cross_scenario(predict, ds) == evaluate_classifier(predict, ds)
 
 
 def test_transfer_to_heavy_tails_stays_finite():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdlab import cusum
 
@@ -140,6 +143,42 @@ class TestStarScan:
         star, arg_star = cusum.cusum_star_statistic(x)
         assert arg_full == arg_star == 1
         assert star == pytest.approx(full)
+
+
+def _rows_with_constants():
+    X = np.random.default_rng(9).standard_normal((40, 33))
+    X[3] = 2.5
+    X[7] = 0.0
+    return X
+
+
+def _assert_batch_matches_rows(X):
+    assert np.array_equal(cusum.cusum_transform(X), np.array([cusum.cusum_transform(r) for r in X]))
+    for fn in (cusum.cusum_statistic, cusum.cusum_star_statistic):
+        stats, points = fn(X)
+        rows = [fn(r) for r in X]
+        assert np.array_equal(stats, [s for s, _ in rows])
+        assert np.array_equal(points, [k for _, k in rows])
+
+
+class TestBatch:
+    def test_batch_matches_rows(self):
+        _assert_batch_matches_rows(_rows_with_constants())
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(4, 40)),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    def test_batch_matches_rows_property(self, X):
+        _assert_batch_matches_rows(X)
+
+    @pytest.mark.parametrize(
+        "fn", [cusum.cusum_transform, cusum.cusum_statistic, cusum.cusum_star_statistic]
+    )
+    def test_non_finite_in_any_row_raises(self, fn):
+        X = _rows_with_constants()
+        X[-1, 5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(X)
 
 
 class TestThresholdsAndBounds:

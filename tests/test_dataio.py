@@ -69,6 +69,18 @@ def test_field_count_mismatch(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_values_name_line(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,tau,x1,x2\n1,,0.0,1.0\n0,,{token},1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite"):
+        load_dataset(path)
+    path = tmp_path / "v.csv"
+    path.write_text(f"0.0,1.0\n\n1.0,{token}\n")  # blank lines still count
+    with pytest.raises(ValueError, match=r"v\.csv:3: non-finite"):
+        load_values(path)
+
+
 def test_values_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     rows = rng.standard_cauchy((5, 11))

@@ -24,7 +24,7 @@ def _straddle_classifier(n, tau):
         labels[max(0, tau - n + 1):tau] = 1
         return labels, labels.astype(float)
 
-    return WindowClassifier(n, lambda w: (0, 0.0), label_series)
+    return WindowClassifier(n, label_series)
 
 
 class TestSlidingLabels:
@@ -52,7 +52,8 @@ class TestSlidingLabels:
         series[60:] += 3.0
         clf = cusum_star_window_classifier(16, 2.0)
         fast, _ = sliding_labels(series, clf)
-        slow = np.array([clf.classify(series[i:i + 16])[0] for i in range(series.size - 15)])
+        slow = np.array([cusum.cusum_star_classify(series[i:i + 16], 2.0)
+                         for i in range(series.size - 15)])
         np.testing.assert_array_equal(fast, slow)
 
 
@@ -72,9 +73,7 @@ class TestLocalise:
     def test_running_mean_range_and_maximality(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, 96)
-        clf = WindowClassifier(
-            8, lambda w: (0, 0.0), lambda s: (labels.copy(), labels.astype(float))
-        )
+        clf = WindowClassifier(8, lambda s: (labels.copy(), labels.astype(float)))
         result = localise(np.zeros(96 + 8 - 1), clf, gamma=0.5)
         assert np.all(result.running_mean >= 0) and np.all(result.running_mean <= 1)
         for s, e in result.segments:

@@ -92,3 +92,17 @@ class TestZscoreTruncate:
                 a * robust.zscore_truncate(x, 2.0) + c,
                 atol=1e-10,
             )
+
+    def test_batch_matches_rows(self):
+        X = np.random.default_rng(5).standard_cauchy((30, 40))
+        X[2] = 1.5  # constant row, returned as is
+        for z in (1.0, 2.5):
+            for batch in (X, np.asfortranarray(X)):
+                expected = np.array([robust.zscore_truncate(r, z) for r in X])
+                assert np.array_equal(robust.zscore_truncate(batch, z), expected)
+
+    def test_batch_rejects_non_finite_row(self):
+        X = np.zeros((4, 10))
+        X[3, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            robust.zscore_truncate(X, 2.0)
