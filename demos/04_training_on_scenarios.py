@@ -20,8 +20,8 @@ for scenario, label, train_size in (("S1", "independent Gaussian", 700),
     train_set = cp.gen_scenario(cp.ScenarioSpec(scenario, size=train_size), seed=7)
     test_set = cp.gen_scenario(cp.ScenarioSpec(scenario, size=3000, role="test"), seed=8)
 
-    threshold = cp.tune_threshold(
-        None, train_set, stats=cp.batch_cusum_statistics(train_set.values))
+    threshold = cp.tune_threshold(cp.batch_cusum_statistics(train_set.values),
+                                  train_set.labels)
     scan_preds = (cp.batch_cusum_statistics(test_set.values) > threshold).astype(int)
     scan_mer = float(np.mean(scan_preds != test_set.labels))
 

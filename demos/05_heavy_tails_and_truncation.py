@@ -37,13 +37,13 @@ print("\n== detectors on a Cauchy benchmark ==")
 train_set = cp.gen_scenario(cp.ScenarioSpec("S3", size=600), seed=12)
 test_set = cp.gen_scenario(cp.ScenarioSpec("S3", size=2000, role="test"), seed=13)
 
-wil_thr = cp.tune_threshold(lambda row: cp.wilcoxon_statistic(row)[0], train_set)
-wil_preds = [cp.wilcoxon_classify(row, wil_thr) for row in test_set.values]
+wil_thr = cp.tune_threshold(cp.wilcoxon_statistic(train_set.values)[0], train_set.labels)
+wil_preds = cp.wilcoxon_statistic(test_set.values)[0] > wil_thr
 print(f"tuned rank scan:        MER {np.mean(wil_preds != test_set.labels):.3f}")
 
 pre = cp.Preprocessor(((*(("truncate", 3.0),) * 12, ("unit_scale",)),))
 feats_train, feats_test = pre.apply(train_set.values), pre.apply(test_set.values)
-lam = cp.tune_threshold(None, train_set, stats=cp.batch_cusum_statistics(feats_train))
+lam = cp.tune_threshold(cp.batch_cusum_statistics(feats_train), train_set.labels)
 init = cp.embed_cusum(100, lam)
 net = cp.train(feats_train, train_set.labels, init.architecture,
                cp.TrainConfig(epochs=100, seed=12), init=init)

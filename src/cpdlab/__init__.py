@@ -33,7 +33,6 @@ from .glr import (
     lr_slope_scan,
     lr_variance_scan,
     mean_change_design,
-    oracle_classify,
     slope_change_design,
 )
 from .robust import (

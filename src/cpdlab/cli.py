@@ -77,15 +77,12 @@ def _parse_preprocess(text: str) -> Preprocessor:
 
 def _statistics(method: str, X: np.ndarray) -> np.ndarray:
     """Scan statistic of every row of ``X`` for a scan ``method``."""
-    if method == "cusum":
-        return cusum.cusum_statistic(X)[0]
-    if method == "cusum-star":
-        return cusum.cusum_star_statistic(X)[0]
-    scans = {"wilcoxon": wilcoxon_statistic, "variance": glr.lr_variance_scan,
+    scans = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
+             "wilcoxon": wilcoxon_statistic, "variance": glr.lr_variance_scan,
              "slope": glr.lr_slope_scan}
     if method not in scans:
         raise ValueError(f"unknown method {method!r}")
-    return np.array([scans[method](row)[0] for row in X])
+    return scans[method](X)[0]
 
 
 def _cmd_simulate(args) -> int:
@@ -201,8 +198,8 @@ def _cmd_evaluate(args) -> int:
             if not args.train:
                 raise ValueError("provide --threshold or --train data to tune on")
             train_set = load_dataset(args.train)
-            threshold = tune_threshold(
-                None, train_set, stats=_statistics(args.method, train_set.values))
+            threshold = tune_threshold(_statistics(args.method, train_set.values),
+                                       train_set.labels)
         stats = _statistics(args.method, test_set.values)
         preds = (stats > threshold).astype(np.int64)
     report = mer_from_predictions(test_set.labels, preds, threshold=threshold,

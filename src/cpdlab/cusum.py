@@ -62,7 +62,9 @@ def _as_rows(x, min_len: int = 2) -> np.ndarray:
         raise ValueError(f"series must have length >= {min_len}, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("series contains non-finite entries")
-    return arr
+    # Row-major layout makes each row's sums add in the same order as for
+    # a single series, so batch and per-row results agree bit for bit.
+    return np.ascontiguousarray(arr)
 
 
 @functools.lru_cache(maxsize=64)

@@ -89,30 +89,25 @@ def evaluate_classifier(predict, dataset: LabeledDataset, **kwargs) -> EvalRepor
     return mer_from_predictions(dataset.labels, preds, **kwargs)
 
 
-def tune_threshold(stat_fn, dataset: LabeledDataset, grid=None, grid_size: int = 200,
-                   stats=None) -> float:
+def tune_threshold(stats, labels, grid=None, grid_size: int = 200) -> float:
     """Grid-search the decision threshold minimising training MER.
 
-    ``stat_fn`` maps a series to a scalar statistic; classification is
-    ``statistic > threshold``.  The default grid spans [min, max] of the
-    training statistics with ``grid_size`` points.  Of the minimisers,
-    the smallest threshold is returned.  Precomputed statistics can be
-    passed through ``stats`` (then ``stat_fn`` may be ``None``).
+    ``stats`` holds one statistic per training example and ``labels``
+    its 0/1 label; classification is ``statistic > threshold``.  The
+    default grid spans [min, max] of the statistics with ``grid_size``
+    points.  Of the minimisers, the smallest threshold is returned.
     """
-    if len(dataset) == 0:
+    stats = np.asarray(stats, dtype=np.float64)
+    labels = np.asarray(labels)
+    if stats.ndim != 1 or stats.shape != labels.shape:
+        raise ValueError("stats and labels must be equal-length vectors")
+    if stats.size == 0:
         raise ValueError("cannot tune on an empty dataset")
-    if stats is None:
-        stats = np.array([float(stat_fn(row)) for row in dataset.values])
-    else:
-        stats = np.asarray(stats, dtype=np.float64)
-        if stats.shape != (len(dataset),):
-            raise ValueError("stats length must match the dataset")
     if grid is None:
         grid = np.linspace(stats.min(), stats.max(), grid_size)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("threshold grid is empty")
-    labels = dataset.labels.astype(np.int64)
     preds = stats[None, :] > grid[:, None]
     errors = np.sum(preds != labels[None, :].astype(bool), axis=1)
     best = int(np.argmin(errors))  # first minimiser = smallest threshold

@@ -9,20 +9,29 @@ test for ``phi = 0`` into a scan ``max_tau |u_tau . (G^-1 x)|`` with unit
 directions ``u_tau``; for the plain mean-change design this reduces to
 the CUSUM scan of :mod:`cpdlab.cusum` up to sign.
 
-The module also provides the single-change Gaussian likelihood scans
-used by the type-specific (oracle) classifiers and the min-BIC adaptive
-classifier over five candidate change models.
+The type-specific (oracle) scans and the min-BIC adaptive classifier
+over five candidate change models read from three per-tau kernels, each
+taking one series (n,) or a batch (N, n):
+
+- mean change: :func:`cpdlab.cusum.cusum_statistic`, whose square is
+  the drop in residual sum from the constant mean;
+- variance change: :func:`_variance_change`, per-split segment
+  variances from one prefix sum of squared deviations;
+- slope change: :func:`_slope_change`, per-hinge statistics from suffix
+  sums of the straight-line residual and a closed-form hinge norm.
+
+:func:`glr_directions` and :func:`glr_statistic` remain for general and
+whitened designs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cusum import as_series, cusum_statistic
+from .cusum import _as_rows, _peak, as_series, cusum_statistic
 
 __all__ = [
     "ChangeDesign",
@@ -34,7 +43,6 @@ __all__ = [
     "lr_variance_scan",
     "lr_slope_scan",
     "adaptive_classify",
-    "oracle_classify",
     "CLASS_NO_CHANGE",
     "CLASS_MEAN_CHANGE",
     "CLASS_VARIANCE_CHANGE",
@@ -200,64 +208,83 @@ def glr_statistic(x, dirs: GlrDirections) -> tuple[float, int]:
     return float(scores[k]), int(dirs.taus[k])
 
 
-def lr_variance_scan(x) -> tuple[float, int]:
-    """Scan for one variance change around a common mean.
+def _variance_change(x):
+    """Per-split variance-change statistics of each row and its ML variance.
 
-    Returns twice the maximised Gaussian log likelihood ratio,
-    ``n log s0^2 - tau log s1^2 - (n-tau) log s2^2`` with per-segment ML
-    variances, maximised over tau in [2, n-2]; ties break toward the
-    smallest tau.  Segment variances are floored at ``VARIANCE_FLOOR``.
+    Returns ``(taus, stats, total)``: the splits tau in [2, n-2], twice the
+    Gaussian log likelihood ratio ``n log s0^2 - tau log s1^2 - (n-tau) log s2^2``
+    at each split (segment variances floored at ``VARIANCE_FLOOR``), and
+    ``s0^2``, the variance of the whole row around its mean.
     """
-    x = as_series(x, min_len=4)
-    n = x.size
-    d2 = (x - x.mean()) ** 2
-    prefix = np.cumsum(d2)
+    n = x.shape[-1]
+    d2 = (x - x.mean(axis=-1, keepdims=True)) ** 2
+    prefix = np.cumsum(d2, axis=-1)
     taus = np.arange(2, n - 1)
-    left = prefix[taus - 1] / taus
-    right = (prefix[-1] - prefix[taus - 1]) / (n - taus)
-    total = prefix[-1] / n
-    stat = (
-        n * math.log(max(total, VARIANCE_FLOOR))
+    left = prefix[..., taus - 1] / taus
+    right = (prefix[..., -1:] - prefix[..., taus - 1]) / (n - taus)
+    total = prefix[..., -1] / n
+    # Scalar libm log per row keeps the result bit-equal to a one-series scan.
+    log_total = np.array([math.log(max(s, VARIANCE_FLOOR)) for s in np.ravel(total)])
+    stats = (
+        n * log_total.reshape(np.shape(total) + (1,))
         - taus * np.log(np.maximum(left, VARIANCE_FLOOR))
         - (n - taus) * np.log(np.maximum(right, VARIANCE_FLOOR))
     )
-    k = int(np.argmax(stat))
-    return float(stat[k]), int(taus[k])
+    return taus, stats, total
 
 
-@functools.lru_cache(maxsize=16)
-def _slope_directions(n: int) -> GlrDirections:
-    return glr_directions(slope_change_design(n))
+def _slope_change(x):
+    """Per-hinge slope-change statistics of each row and its straight-line residual sum.
 
+    With ``r`` the residual of the least-squares line and hinge
+    ``h_tau = max(0, t - tau)``, the statistic at tau is
+    ``|h_tau . r| / ||(I - P) h_tau||``, ``P`` projecting onto the line.
+    ``h_tau . r`` is a suffix sum of suffix sums of ``r``, and with
+    ``m = n - tau`` the squared norm has the closed form
 
-def lr_slope_scan(x) -> tuple[float, int]:
-    """Scan for one continuous slope change against a single linear trend."""
-    x = as_series(x, min_len=4)
-    return glr_statistic(x, _slope_directions(x.size))
+        tau (tau-1) m (m+1) (2 tau (m+1) - n + 1) / (6 n (n^2 - 1)),
 
-
-def oracle_classify(x, kind: str, threshold: float) -> int:
-    """Type-specific change detector: 1 iff the matched scan exceeds ``threshold``.
-
-    ``kind`` selects the scan: "mean" (CUSUM), "variance"
-    (:func:`lr_variance_scan`) or "slope" (:func:`lr_slope_scan`).  The
-    threshold is typically tuned on training data with
-    :func:`cpdlab.evaluate.tune_threshold`.
+    which vanishes at tau = 1 (the hinge is then the line itself), so
+    the scan runs over tau in [2, n-1].  Returns ``(taus, stats, rss_line)``.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if kind == "mean":
-        stat, _ = cusum_statistic(x)
-    elif kind == "variance":
-        stat, _ = lr_variance_scan(x)
-    elif kind == "slope":
-        stat, _ = lr_slope_scan(x)
-    else:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    return int(stat > threshold)
+    n = x.shape[-1]
+    tc = np.arange(1, n + 1) - (n + 1) / 2.0
+    xc = x - x.mean(axis=-1, keepdims=True)
+    slope = np.sum(xc * tc, axis=-1, keepdims=True) / (n * (n * n - 1) / 12.0)
+    r = xc - slope * tc
+    tail = np.cumsum(r[..., ::-1], axis=-1)
+    hinge_dot = np.cumsum(tail, axis=-1)[..., ::-1]  # entry tau: h_tau . r
+    taus = np.arange(2, n)
+    tau, m = taus.astype(np.float64), (n - taus).astype(np.float64)
+    norm2 = tau * (tau - 1) * m * (m + 1) * (2 * tau * (m + 1) - n + 1) / (6 * n * (n * n - 1))
+    stats = np.abs(hinge_dot[..., 2:n]) / np.sqrt(norm2)
+    return taus, stats, np.sum(r * r, axis=-1)
 
 
-def adaptive_classify(x) -> int:
+def lr_variance_scan(x):
+    """Scan for one variance change around a common mean.
+
+    Returns twice the maximised Gaussian log likelihood ratio over tau in
+    [2, n-2] and its argmax, smallest tau on ties (see
+    :func:`_variance_change`).  For a batch (N, n) both are length-N arrays.
+    """
+    taus, stats, _ = _variance_change(_as_rows(x, min_len=4))
+    return _peak(stats, taus)
+
+
+def lr_slope_scan(x):
+    """Scan for one continuous slope change against a single linear trend.
+
+    Returns the largest likelihood-ratio statistic over tau in [2, n-1]
+    and its argmax, smallest tau on ties; it equals :func:`glr_statistic`
+    on :func:`slope_change_design`.  For a batch (N, n) both are
+    length-N arrays.
+    """
+    taus, stats, _ = _slope_change(_as_rows(x, min_len=4))
+    return _peak(stats, taus)
+
+
+def adaptive_classify(x):
     """Pick a change type by minimum BIC over five candidate models.
 
     Candidates, in label order: constant mean (1), one mean change (2),
@@ -265,110 +292,28 @@ def adaptive_classify(x) -> int:
     slope change (5).  Each is fitted by maximum Gaussian likelihood
     (scanning tau where applicable) and scored with
     ``BIC = -2 loglik + k log n`` using free-parameter counts
-    (2, 4, 4, 3, 5); sigma is counted once per model.  Ties break toward
-    the smallest label.
+    (2, 4, 4, 3, 5); sigma is counted once per model.  The best residual
+    sums come from the scans: ``TSS - cusum^2`` for a mean change and
+    ``RSS(line) - slope^2`` (tau in [2, n-2]) for a kink, and the
+    variance change gains its likelihood ratio over the constant mean.
+    Ties break toward the smallest label.  Returns one label for a
+    series (n,) and a length-N array for a batch (N, n).
     """
-    x = as_series(x, min_len=6)
-    n = x.size
-    logliks = np.array(
-        [
-            _loglik_const(x),
-            _loglik_mean_change(x),
-            _loglik_variance_change(x),
-            _loglik_line(x),
-            _loglik_kinked_line(x),
-        ]
-    )
-    k = np.array([2.0, 4.0, 4.0, 3.0, 5.0])
-    bic = -2.0 * logliks + k * math.log(n)
-    return int(np.argmin(bic)) + 1
-
-
-def _gauss_loglik(n: int, rss: float) -> float:
-    """Profile Gaussian log likelihood with sigma^2 = rss/n."""
-    s2 = max(rss / n, VARIANCE_FLOOR)
-    return -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0)
-
-
-def _loglik_const(x: np.ndarray) -> float:
-    n = x.size
-    rss = float(np.sum((x - x.mean()) ** 2))
-    return _gauss_loglik(n, rss)
-
-
-def _loglik_mean_change(x: np.ndarray) -> float:
-    n = x.size
-    s = np.cumsum(x)
-    sq = float(np.sum(x * x))
-    taus = np.arange(1, n)
-    left = s[taus - 1]
-    right = s[-1] - left
-    rss = sq - left**2 / taus - right**2 / (n - taus)
-    return _gauss_loglik(n, float(np.min(rss)))
-
-
-def _loglik_variance_change(x: np.ndarray) -> float:
-    n = x.size
-    d2 = (x - x.mean()) ** 2
-    prefix = np.cumsum(d2)
-    taus = np.arange(2, n - 1)
-    s1 = np.maximum(prefix[taus - 1] / taus, VARIANCE_FLOOR)
-    s2 = np.maximum((prefix[-1] - prefix[taus - 1]) / (n - taus), VARIANCE_FLOOR)
-    ll = -0.5 * (
-        taus * np.log(2.0 * math.pi * s1)
-        + (n - taus) * np.log(2.0 * math.pi * s2)
-        + n
-    )
-    return float(np.max(ll))
-
-
-def _loglik_line(x: np.ndarray) -> float:
-    n = x.size
-    t = np.arange(1, n + 1, dtype=np.float64)
-    design = np.column_stack([np.ones(n), t])
-    coef = np.linalg.lstsq(design, x, rcond=None)[0]
-    rss = float(np.sum((x - design @ coef) ** 2))
-    return _gauss_loglik(n, rss)
-
-
-def _loglik_kinked_line(x: np.ndarray) -> float:
-    """Best continuous piecewise-linear fit with one kink, tau in [2, n-2].
-
-    The hinge column's cross products have closed forms in tau, so the
-    normal equations for every tau are assembled at once and solved as a
-    batched 3x3 system.
-    """
-    n = x.size
-    t = np.arange(1, n + 1, dtype=np.float64)
-    taus = np.arange(2, n - 1)
-    m = (n - taus).astype(np.float64)
-
-    sum_s = m * (m + 1) / 2.0
-    sum_s2 = m * (m + 1) * (2 * m + 1) / 6.0
-    sum_ts = taus * sum_s + sum_s2
-
-    sum_t = t.sum()
-    sum_t2 = float(np.sum(t * t))
-    sum_x = x.sum()
-    sum_xt = float(np.sum(x * t))
-    sum_x2 = float(np.sum(x * x))
-
-    xt_suffix = np.cumsum((x * t)[::-1])[::-1]
-    x_suffix = np.cumsum(x[::-1])[::-1]
-    sum_xs = xt_suffix[taus] - taus * x_suffix[taus]
-
-    k = taus.size
-    gram = np.empty((k, 3, 3))
-    gram[:, 0, 0] = n
-    gram[:, 0, 1] = gram[:, 1, 0] = sum_t
-    gram[:, 0, 2] = gram[:, 2, 0] = sum_s
-    gram[:, 1, 1] = sum_t2
-    gram[:, 1, 2] = gram[:, 2, 1] = sum_ts
-    gram[:, 2, 2] = sum_s2
-    rhs = np.empty((k, 3))
-    rhs[:, 0] = sum_x
-    rhs[:, 1] = sum_xt
-    rhs[:, 2] = sum_xs
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    rss = sum_x2 - np.einsum("ij,ij->i", coef, rhs)
-    return _gauss_loglik(n, float(max(np.min(rss), 0.0)))
+    x = _as_rows(x, min_len=6)
+    n = x.shape[-1]
+    _, var_stats, total = _variance_change(x)
+    _, slope_stats, rss_line = _slope_change(x)
+    tss = n * total
+    rss = np.stack([
+        tss,
+        tss - cusum_statistic(x)[0] ** 2,
+        tss,
+        rss_line,
+        rss_line - slope_stats[..., :-1].max(axis=-1) ** 2,
+    ], axis=-1)
+    # -2 loglik = n log(2 pi sigma^2) + n; the constant terms are dropped.
+    deviance = n * np.log(np.maximum(rss / n, VARIANCE_FLOOR))
+    deviance[..., 2] -= var_stats.max(axis=-1)
+    bic = deviance + np.array([2.0, 4.0, 4.0, 3.0, 5.0]) * math.log(n)
+    labels = np.argmin(bic, axis=-1) + 1
+    return int(labels) if x.ndim == 1 else labels

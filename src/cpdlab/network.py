@@ -114,6 +114,10 @@ class Network:
         for arr in (*self.weights, *self.biases, self.output_bias):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("network parameters contain non-finite values")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"decision threshold must be finite, got {self.threshold!r}")
+        if self.classes is not None and not self.is_binary and len(self.classes) != dims[-1]:
+            raise ValueError(f"{len(self.classes)} classes for output width {dims[-1]}")
 
     @property
     def is_binary(self) -> bool:
@@ -140,6 +144,14 @@ class TrainConfig:
             raise ValueError("optimiser constants must be positive")
         if self.lr_decay < 0:
             raise ValueError("lr_decay must be >= 0")
+
+
+def _finite_array(x) -> np.ndarray:
+    """Return ``x`` as a float64 array, rejecting NaN and infinite entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input contains non-finite values")
+    return x
 
 
 def unit_scale(x) -> np.ndarray:
@@ -205,8 +217,11 @@ class Preprocessor:
         return n * len(self.channels)
 
     def apply(self, x) -> np.ndarray:
-        """Transform one series (or a matrix row-wise) into feature vectors."""
-        x = np.asarray(x, dtype=np.float64)
+        """Transform one series (or a matrix row-wise) into feature vectors.
+
+        Non-finite entries are rejected with ``ValueError``.
+        """
+        x = _finite_array(x)
         single = x.ndim == 1
         rows = x[None, :] if single else x
         n = rows.shape[1]
@@ -258,8 +273,9 @@ def forward(net: Network, x):
     scalar pre-threshold output and ``label = 1{score > threshold}``;
     for multiclass networks the score is the logit vector and the label
     is the class with the largest logit (smallest index on ties).
+    Non-finite inputs are rejected with ``ValueError``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite_array(x)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != net.architecture.input_dim:
@@ -407,9 +423,10 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     labels, which must number ``output_dim``.  ``init`` (for example an
     :func:`embed_cusum` network) overrides the seeded random start.
     Everything downstream of ``config.seed`` is deterministic: same
-    inputs and seed give a bit-identical network.
+    inputs and seed give a bit-identical network.  Non-finite features
+    are rejected with ``ValueError``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(_finite_array(X))
     y = np.asarray(y)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y must have the same number of rows")

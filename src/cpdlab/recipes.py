@@ -41,8 +41,8 @@ __all__ = ["RECIPES", "run_recipe"]
 
 
 def _binary_benchmark(scenario, seed, train_size, test_size, hidden, preprocessor,
-                      stat_name, n=100, epochs=200):
-    """Tune a statistic threshold and train a network on one scenario draw.
+                      n=100, epochs=200):
+    """Tune a CUSUM threshold and train a network on one scenario draw.
 
     Returns test MERs of both detectors plus the tuned threshold, all
     derived from a single (seed, sizes) tuple.
@@ -50,15 +50,8 @@ def _binary_benchmark(scenario, seed, train_size, test_size, hidden, preprocesso
     train_set = gen_scenario(ScenarioSpec(scenario, n=n, size=train_size, role="train"), seed)
     test_set = gen_scenario(ScenarioSpec(scenario, n=n, size=test_size, role="test"), seed + 1)
 
-    if stat_name == "cusum":
-        train_stats = batch_cusum_statistics(train_set.values)
-        test_stats = batch_cusum_statistics(test_set.values)
-    elif stat_name == "wilcoxon":
-        train_stats = np.array([wilcoxon_statistic(row)[0] for row in train_set.values])
-        test_stats = np.array([wilcoxon_statistic(row)[0] for row in test_set.values])
-    else:
-        raise ValueError(f"unknown statistic {stat_name!r}")
-    threshold = tune_threshold(None, train_set, stats=train_stats)
+    threshold = tune_threshold(batch_cusum_statistics(train_set.values), train_set.labels)
+    test_stats = batch_cusum_statistics(test_set.values)
     stat_report = mer_from_predictions(
         test_set.labels, (test_stats > threshold).astype(np.int64),
         threshold=threshold, seed=seed, fingerprint=test_set.fingerprint(),
@@ -74,7 +67,7 @@ def _binary_benchmark(scenario, seed, train_size, test_size, hidden, preprocesso
     return {
         "seed": seed,
         "threshold": threshold,
-        f"{stat_name}_mer": stat_report.mer,
+        "cusum_mer": stat_report.mer,
         "network_mer": net_report.mer,
     }
 
@@ -88,7 +81,7 @@ def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Gaussian scenario S1: wide single-layer network versus tuned CUSUM."""
     runs = _seeded_runs(seed, n_seeds, lambda s: _binary_benchmark(
-        "S1", s, train_size, test_size, (198,), Preprocessor(), "cusum", epochs=epochs))
+        "S1", s, train_size, test_size, (198,), Preprocessor(), epochs=epochs))
     diffs = [r["network_mer"] - r["cusum_mer"] for r in runs]
     return {
         "recipe": "fig1a",
@@ -108,7 +101,7 @@ def fig1d(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Cauchy scenario S3: the trained network should beat tuned CUSUM."""
     runs = _seeded_runs(seed, n_seeds, lambda s: _binary_benchmark(
-        "S3", s, train_size, test_size, (198,), Preprocessor(), "cusum", epochs=epochs))
+        "S3", s, train_size, test_size, (198,), Preprocessor(), epochs=epochs))
     gains = [r["cusum_mer"] - r["network_mer"] for r in runs]
     return {
         "recipe": "fig1d",
@@ -138,9 +131,8 @@ def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
     test_set = gen_scenario(ScenarioSpec("S3", size=test_size, role="test"), seed + 1)
     n = train_set.n
 
-    wil_train = np.array([wilcoxon_statistic(row)[0] for row in train_set.values])
-    wil_threshold = tune_threshold(None, train_set, stats=wil_train)
-    wil_test = np.array([wilcoxon_statistic(row)[0] for row in test_set.values])
+    wil_threshold = tune_threshold(wilcoxon_statistic(train_set.values)[0], train_set.labels)
+    wil_test = wilcoxon_statistic(test_set.values)[0]
     wil_report = mer_from_predictions(
         test_set.labels, (wil_test > wil_threshold).astype(np.int64),
         threshold=wil_threshold, seed=seed, fingerprint=test_set.fingerprint())
@@ -148,7 +140,7 @@ def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
     pre = Preprocessor(((*(("truncate", z),) * clip_passes, ("unit_scale",)),))
     feats_train = pre.apply(train_set.values)
     feats_test = pre.apply(test_set.values)
-    scan_threshold = tune_threshold(None, train_set, stats=batch_cusum_statistics(feats_train))
+    scan_threshold = tune_threshold(batch_cusum_statistics(feats_train), train_set.labels)
     init = embed_cusum(n, scan_threshold)
     net = train(feats_train, train_set.labels, init.architecture,
                 TrainConfig(epochs=epochs, seed=seed), init=init)
@@ -189,10 +181,9 @@ def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
 
 def _scan_statistics(kind: str, X: np.ndarray) -> np.ndarray:
     """Statistic of every row of ``X`` under the "mean", "variance" or "slope" scan."""
-    if kind == "mean":
-        return cusum.cusum_statistic(X)[0]
-    scan = glr.lr_variance_scan if kind == "variance" else glr.lr_slope_scan
-    return np.array([scan(row)[0] for row in X])
+    scans = {"mean": cusum.cusum_statistic, "variance": glr.lr_variance_scan,
+             "slope": glr.lr_slope_scan}
+    return scans[kind](X)[0]
 
 
 def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray:
@@ -211,14 +202,6 @@ def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray
     return preds
 
 
-def _subset(dataset: LabeledDataset, mask: np.ndarray, labels) -> LabeledDataset:
-    return LabeledDataset(
-        dataset.values[mask],
-        np.asarray(labels, dtype=np.int64),
-        [m for m, keep in zip(dataset.metadata, mask) if keep],
-    )
-
-
 def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
            per_class_test: int = 200, epochs: int = 200) -> dict:
     """Five-class mixture: oracle and adaptive likelihood classifiers vs a deep net.
@@ -235,15 +218,15 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
     thresholds = {}
     for kind, positive, negatives in (("mean", 2, (1,)), ("variance", 3, (1,)), ("slope", 5, (4,))):
         mask = np.isin(train_set.labels, (positive, *negatives))
-        binary = _subset(train_set, mask, (train_set.labels[mask] == positive).astype(np.int64))
-        thresholds[kind] = tune_threshold(None, binary, stats=_scan_statistics(kind, binary.values))
+        thresholds[kind] = tune_threshold(_scan_statistics(kind, train_set.values[mask]),
+                                          train_set.labels[mask] == positive)
 
     oracle_report = mer_from_predictions(
         test_set.labels, _oracle_predictions(test_set, thresholds),
         seed=seed, fingerprint=test_set.fingerprint())
     adaptive_report = mer_from_predictions(
         test_set.labels,
-        np.array([glr.adaptive_classify(row) for row in test_set.values]),
+        glr.adaptive_classify(test_set.values),
         seed=seed, fingerprint=test_set.fingerprint())
 
     pre = Preprocessor((("unit_scale",), (("square",), ("unit_scale",))))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cusum import _as_rows, as_series
+from .cusum import _as_rows, _peak, as_series
 
 __all__ = [
     "wilcoxon_statistic",
@@ -92,21 +92,22 @@ def _pair_sums(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def wilcoxon_statistic(x) -> tuple[float, int]:
+def wilcoxon_statistic(x):
     """Return ``(T, argmax k)`` of the rank cumulative-sum scan, smallest k on ties.
 
     Rank-based O(n log n) evaluation; agrees exactly (same floats) with
     :func:`wilcoxon_statistic_bruteforce` because the pair sums are
     integers, the centring term is a half-integer, and both paths apply
-    the same normalisation factors.
+    the same normalisation factors.  For a batch (N, n) both entries are
+    length-N arrays, computed one row at a time.
     """
-    x = as_series(x)
-    n = x.size
+    x = _as_rows(x)
+    n = x.shape[-1]
     k = np.arange(1, n, dtype=np.float64)
-    centred = _pair_sums(x) - k * (n - k) / 2.0
-    stats = np.abs(_scale_factors(n) * centred)
-    best = int(np.argmax(stats))
-    return float(stats[best]), best + 1
+    factors = _scale_factors(n)
+    stats = np.array([np.abs(factors * (_pair_sums(row) - k * (n - k) / 2.0))
+                      for row in x.reshape(-1, n)])
+    return _peak(stats.reshape(x.shape[:-1] + (n - 1,)), np.arange(1, n))
 
 
 def wilcoxon_statistic_bruteforce(x) -> tuple[float, int]:
@@ -137,9 +138,7 @@ def zscore_truncate(x, z: float) -> np.ndarray:
     """
     if not z > 0:
         raise ValueError(f"z must be positive, got {z}")
-    # Row-major layout makes each row's sums add in the same order as for
-    # a single series, so batch and per-row results agree bit for bit.
-    x = np.ascontiguousarray(_as_rows(x))
+    x = _as_rows(x)
     mean = x.mean(axis=-1, keepdims=True)
     sd = np.sqrt(np.mean((x - mean) ** 2, axis=-1, keepdims=True))
     clipped = np.clip(x, mean - z * sd, mean + z * sd)

@@ -7,7 +7,8 @@ import pytest
 
 from cpdlab.cli import main
 from cpdlab.dataio import load_dataset, save_values
-from cpdlab.network import Preprocessor, embed_cusum, network_to_json
+from cpdlab.network import (Architecture, Preprocessor, _init_network, embed_cusum,
+                             network_to_json)
 from cpdlab.recipes import RECIPES
 from cpdlab.simulate import gen_piecewise
 
@@ -141,6 +142,25 @@ def test_non_finite_csv_exits_two(tmp_path):
     values.write_text("0.0,1.0,0.0,1.0,0.0,1.0,0.0,1.0\n0.0,1.0,0.0,-inf,0.0,1.0,0.0,1.0\n")
     assert run(["localise", "--data", values, "--window", 4, "--threshold", 1.0,
                 "--out", out]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("threshold", float("nan")),
+                                          ("threshold", float("inf")),
+                                          ("classes", [0, 1])],
+                         ids=["nan-threshold", "inf-threshold", "class-count"])
+def test_malformed_network_file_exits_two(tmp_path, field, value):
+    data = tmp_path / "d.csv"
+    run(["simulate", "--N", 10, "--seed", 5, "--out", data])
+    arch_net = embed_cusum(100, 3.0)
+    if field == "classes":
+        arch_net = _init_network(Architecture(100, (4,), 3), np.random.default_rng(0))
+    payload = json.loads(network_to_json(arch_net, Preprocessor((("identity",),))))
+    payload[field] = value
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(payload))
+    out = tmp_path / "r.json"
+    assert run(["detect", "--method", "net", "--net", net, "--data", data, "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_detect_flat_csv_output(tmp_path):

@@ -12,12 +12,7 @@ from cpdlab.evaluate import (
     monte_carlo_bound_check,
     tune_threshold,
 )
-from cpdlab.simulate import LabeledDataset, ScenarioSpec, gen_scenario
-
-
-def _dataset(values, labels):
-    return LabeledDataset(np.asarray(values, dtype=float), labels,
-                          [{"tau": None}] * len(labels))
+from cpdlab.simulate import ScenarioSpec, gen_scenario
 
 
 class TestMer:
@@ -54,28 +49,32 @@ class TestTuneThreshold:
     def test_perfect_separation_reaches_zero(self):
         values = np.vstack([np.zeros((10, 4)), np.ones((10, 4))])
         labels = np.repeat([0, 1], 10)
-        ds = _dataset(values, labels)
-        thr = tune_threshold(lambda row: float(row.sum()), ds)
         stats = values.sum(axis=1)
+        thr = tune_threshold(stats, labels)
         assert np.mean((stats > thr).astype(int) != labels) == 0.0
 
     def test_tie_break_smallest(self):
         # Statistics 0 and 10; every threshold in (0, 10) is optimal, the
         # grid's smallest minimiser must be returned.
-        ds = _dataset([[0.0, 0.0], [10.0, 0.0]], [0, 1])
-        thr = tune_threshold(None, ds, stats=np.array([0.0, 10.0]))
+        thr = tune_threshold(np.array([0.0, 10.0]), np.array([0, 1]))
         grid = np.linspace(0.0, 10.0, 200)
         assert thr == grid[0]
 
     def test_explicit_grid(self):
-        ds = _dataset([[0.0, 0.0], [10.0, 0.0]], [0, 1])
-        thr = tune_threshold(None, ds, grid=[5.0, 7.0], stats=np.array([0.0, 10.0]))
+        thr = tune_threshold(np.array([0.0, 10.0]), np.array([0, 1]), grid=[5.0, 7.0])
         assert thr == 5.0
 
     def test_cusum_threshold_brackets_null_value(self):
         ds = gen_scenario(ScenarioSpec("S1", size=2000), seed=4)
-        thr = tune_threshold(None, ds, stats=batch_cusum_statistics(ds.values))
+        thr = tune_threshold(batch_cusum_statistics(ds.values), ds.labels)
         assert 3.0 <= thr <= 4.5
+
+
+    def test_mismatched_or_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            tune_threshold(np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="empty"):
+            tune_threshold(np.zeros(0), np.zeros(0))
 
 
 class TestBatchStatistics:
@@ -148,7 +147,7 @@ def test_tuned_threshold_is_grid_optimal():
     rng = np.random.default_rng(6)
     ds = gen_scenario(ScenarioSpec("S1", size=200), seed=7)
     stats = batch_cusum_statistics(ds.values)
-    thr = tune_threshold(None, ds, stats=stats)
+    thr = tune_threshold(stats, ds.labels)
     grid = np.linspace(stats.min(), stats.max(), 200)
 
     def train_mer(t):

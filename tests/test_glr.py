@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpdlab import cusum, glr
+from cpdlab import cli, cusum, glr, recipes
 
 
 def test_mean_design_matches_cusum_contrasts():
@@ -114,7 +116,98 @@ def test_rank_deficient_base_rejected():
         glr.ChangeDesign(base, {2: np.arange(n, dtype=float)})
 
 
+def _reference_bic_label(x):
+    """Min-BIC label from explicit least-squares fits at every tau."""
+    n = x.size
+    t = np.arange(1, n + 1, dtype=np.float64)
+
+    def rss(design):
+        return np.sum((x - design @ np.linalg.lstsq(design, x, rcond=None)[0]) ** 2)
+
+    ones, line = np.ones((n, 1)), np.column_stack([np.ones(n), t])
+    deviance = [
+        n * np.log(rss(ones) / n),
+        min(n * np.log(rss(np.column_stack([np.ones(n), t > tau])) / n) for tau in range(1, n)),
+        min(tau * np.log(np.mean((x[:tau] - x.mean()) ** 2))
+            + (n - tau) * np.log(np.mean((x[tau:] - x.mean()) ** 2)) for tau in range(2, n - 1)),
+        n * np.log(rss(line) / n),
+        min(n * np.log(rss(np.column_stack([line, np.maximum(0.0, t - tau)])) / n)
+            for tau in range(2, n - 1)),
+    ]
+    bic = np.array(deviance) + np.array([2, 4, 4, 3, 5]) * np.log(n)
+    return int(np.argmin(bic)) + 1
+
+
+def _series_rows(seed, rows, n):
+    """Noise rows with a mean step, a variance step, a trend or a kink mixed in."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, n + 1)
+    X = rng.standard_normal((rows, n))
+    tau = n // 3
+    X[1::5] += 2.0 * (t > tau)
+    X[2::5] *= np.where(t > tau, 3.0, 1.0)
+    X[3::5] += 0.1 * t
+    X[4::5] += 0.3 * np.maximum(0, t - tau)
+    return X
+
+
+class TestSlopeScan:
+    @pytest.mark.parametrize("n", [4, 5, 17, 400])
+    def test_matches_general_design(self, n):
+        dirs = glr.glr_directions(glr.slope_change_design(n))
+        X = _series_rows(n, 40, n)
+        stats, taus = glr.lr_slope_scan(X)
+        for x, stat, tau in zip(X, stats, taus):
+            ref, ref_tau = glr.glr_statistic(x, dirs)
+            assert stat == pytest.approx(ref, rel=1e-8)
+            assert tau == ref_tau
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.floats(-1e3, 1e3),
+           st.floats(-10, 10), st.floats(0.01, 100))
+    def test_ignores_line_and_scales_with_factor(self, seed, n, a, b, c):
+        x = np.random.default_rng(seed).standard_normal(n)
+        t = np.arange(1, n + 1)
+        stat, _ = glr.lr_slope_scan(x)
+        tol = 1e-9 * n * (1.0 + abs(a) + abs(b) * n)
+        assert glr.lr_slope_scan(x + a + b * t)[0] == pytest.approx(stat, abs=tol)
+        for factor in (c, -c):
+            assert glr.lr_slope_scan(factor * x)[0] == pytest.approx(c * stat, rel=1e-9)
+
+
+class TestBatchScans:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(6, 80),
+           st.sampled_from(["normal", "cauchy", "ties"]))
+    def test_batch_matches_rows(self, seed, rows, n, noise):
+        X = _series_rows(seed, rows, n)
+        if noise == "cauchy":
+            X += np.random.default_rng(seed).standard_cauchy(X.shape)
+        elif noise == "ties":
+            X = np.round(X)
+        for scan in (glr.lr_variance_scan, glr.lr_slope_scan):
+            stats, taus = scan(X)
+            per_row = [scan(x) for x in X]
+            assert np.array_equal(stats, [s for s, _ in per_row])
+            assert np.array_equal(taus, [k for _, k in per_row])
+        labels = glr.adaptive_classify(X)
+        assert labels.tolist() == [glr.adaptive_classify(x) for x in X]
+
+    def test_adaptive_matches_explicit_fits(self):
+        X = _series_rows(12, 60, 30)
+        assert glr.adaptive_classify(X).tolist() == [_reference_bic_label(x) for x in X]
+
+
 class TestVarianceScan:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.floats(-1e3, 1e3),
+           st.floats(1e-3, 1e3))
+    def test_ignores_shift_and_positive_scale(self, seed, n, a, c):
+        x = np.random.default_rng(seed).standard_normal(n)
+        stat, _ = glr.lr_variance_scan(x)
+        shifted = glr.lr_variance_scan(c * x + a)[0]
+        assert shifted == pytest.approx(stat, rel=1e-6, abs=1e-6 * (1.0 + abs(a) / c))
+
     def test_degenerate_halves_do_not_crash(self):
         x = np.array([1.0] * 5 + [2.0] * 5)
         stat, tau = glr.lr_variance_scan(x)
@@ -164,28 +257,31 @@ class TestAdaptiveClassify:
 
 
 class TestOracleClassify:
+    """The type-specific oracle: the matched batch scan against a threshold."""
+
     def test_constant_series_never_fires(self):
-        assert glr.oracle_classify(np.full(20, 1.3), "mean", 0.5) == 0
+        X = np.full((3, 20), 1.3)
+        for kind in ("mean", "variance", "slope"):
+            assert not np.any(recipes._scan_statistics(kind, X) > 0.5)
 
     def test_mean_oracle_matches_cusum(self):
         rng = np.random.default_rng(10)
-        for _ in range(50):
-            x = rng.standard_normal(30)
-            for thr in (0.5, 1.5, 3.0):
-                assert glr.oracle_classify(x, "mean", thr) == cusum.cusum_classify(x, thr)
+        X = rng.standard_normal((50, 30))
+        stats = recipes._scan_statistics("mean", X)
+        for thr in (0.5, 1.5, 3.0):
+            fired = (stats > thr).astype(int)
+            assert fired.tolist() == [cusum.cusum_classify(x, thr) for x in X]
 
     def test_variance_oracle_detects_sd_doubling(self):
         rng = np.random.default_rng(11)
         # Threshold from the null distribution of the scan statistic.
-        null_stats = [glr.lr_variance_scan(rng.standard_normal(400))[0] for _ in range(100)]
+        null_stats = glr.lr_variance_scan(rng.standard_normal((100, 400)))[0]
         thr = float(np.quantile(null_stats, 0.95))
-        hits = 0
-        for _ in range(100):
-            tau = int(rng.integers(100, 301))
-            sd = np.where(np.arange(1, 401) <= tau, 0.3, 0.6)
-            hits += glr.oracle_classify(sd * rng.standard_normal(400), "variance", thr)
-        assert hits >= 95
+        taus = rng.integers(100, 301, size=100)
+        sd = np.where(np.arange(1, 401)[None, :] <= taus[:, None], 0.3, 0.6)
+        X = sd * rng.standard_normal((100, 400))
+        assert int(np.sum(recipes._scan_statistics("variance", X) > thr)) >= 95
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown oracle kind"):
-            glr.oracle_classify(np.ones(10), "median", 1.0)
+        with pytest.raises(ValueError, match="unknown method"):
+            cli._statistics("median", np.ones((1, 10)))

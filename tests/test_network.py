@@ -1,5 +1,6 @@
 """Tests for the ReLU networks: embeddings, training, gradients, IO."""
 
+import json
 import math
 
 import numpy as np
@@ -76,6 +77,15 @@ class TestPreprocessor:
         with pytest.raises(ValueError, match="unknown preprocessing step"):
             Preprocessor(((("whiten",),),))
 
+    def test_non_finite_input_rejected(self):
+        X = np.ones((2, 5))
+        X[1, 3] = math.inf
+        for pre in (Preprocessor(), Preprocessor((("identity",),))):
+            with pytest.raises(ValueError, match="non-finite"):
+                pre.apply(X)
+            with pytest.raises(ValueError, match="non-finite"):
+                pre.apply([1.0, math.nan, 2.0])
+
     def test_jsonable_roundtrip(self):
         pre = Preprocessor(((("truncate", 3.0), ("unit_scale",)), (("square",),)))
         assert Preprocessor.from_jsonable(pre.to_jsonable()) == pre
@@ -102,6 +112,15 @@ class TestForward:
         net = embed_cusum(10, 1.0)
         with pytest.raises(ValueError, match="input dimension"):
             forward(net, np.ones(9))
+
+    def test_non_finite_input_rejected(self):
+        net = embed_cusum(100, 3.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(net, [math.nan] * 100)
+        X = np.zeros((3, 100))
+        X[2, 7] = -math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(net, X)
 
     def test_standardisation_invariance_exact(self):
         # Dyadic inputs make the affine map exact in floating point, so
@@ -256,6 +275,12 @@ class TestTrain:
         assert set(np.unique(preds)) <= {4, 7, 9}
         assert np.mean(preds != y) < 0.05
 
+    def test_non_finite_features_rejected(self):
+        X = np.zeros((4, 3))
+        X[0, 1] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            train(X, np.array([0, 1, 0, 1]), Architecture(3, (2,), 1), TrainConfig(epochs=1))
+
     def test_label_arity_mismatch(self):
         X = np.zeros((4, 3))
         with pytest.raises(ValueError, match="binary"):
@@ -301,3 +326,21 @@ class TestSerialisation:
     def test_serialised_twice_identical(self):
         net = embed_cusum(12, 2.0)
         assert network_to_json(net) == network_to_json(net)
+
+    @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_threshold_rejected(self, threshold):
+        payload = json.loads(network_to_json(embed_cusum(6, 1.0)))
+        text = json.dumps(payload).replace('"threshold": 0.0', f'"threshold": {threshold}')
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            network_from_json(text)
+
+    def test_class_count_must_match_output_width(self):
+        rng = np.random.default_rng(16)
+        net = _init_network(Architecture(4, (3,), 3), rng)
+        payload = json.loads(network_to_json(net))
+        payload["classes"] = [1, 2]
+        with pytest.raises(ValueError, match="2 classes for output width 3"):
+            network_from_json(json.dumps(payload))
+        payload["classes"] = [1, 2, 5]
+        loaded, _ = network_from_json(json.dumps(payload))
+        assert loaded.classes == (1, 2, 5)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdlab import robust
 
@@ -35,6 +38,27 @@ class TestWilcoxonStatistic:
         stat, _ = robust.wilcoxon_statistic(np.zeros(6))
         brute, _ = robust.wilcoxon_statistic_bruteforce(np.zeros(6))
         assert stat == brute > 0
+
+
+class TestWilcoxonProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 30)),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    def test_batch_matches_rows(self, X):
+        stats, splits = robust.wilcoxon_statistic(X)
+        rows = [robust.wilcoxon_statistic(x) for x in X]
+        assert np.array_equal(stats, [s for s, _ in rows])
+        assert np.array_equal(splits, [k for _, k in rows])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(arrays(np.int64, st.integers(2, 40), elements=st.integers(-6, 6)),
+           st.sampled_from(["exp", "cube", "affine"]))
+    def test_strictly_increasing_transform_invariance(self, x, transform):
+        # Small integers force ties; each map keeps their order and ties.
+        x = x.astype(np.float64)
+        y = {"exp": np.exp, "cube": lambda v: v**3 + v,
+             "affine": lambda v: 3.5 * v - 2.0}[transform](x)
+        assert robust.wilcoxon_statistic(y) == robust.wilcoxon_statistic(x)
 
 
 class TestWilcoxonClassify:
