@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 
@@ -85,6 +86,12 @@ def _statistics(method: str, X: np.ndarray) -> np.ndarray:
     return scans[method](X)[0]
 
 
+def _check_threshold_arg(threshold) -> None:
+    """Reject a given ``--threshold`` that is not a finite positive number."""
+    if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"--threshold must be a finite positive number, got {threshold}")
+
+
 def _cmd_simulate(args) -> int:
     seed = _seed(args)
     if args.multiclass:
@@ -124,6 +131,7 @@ def _load_network(path):
 
 
 def _cmd_detect(args) -> int:
+    _check_threshold_arg(args.threshold)
     dataset = load_dataset(args.data)
     if args.method == "net":
         if not args.net:
@@ -132,8 +140,8 @@ def _cmd_detect(args) -> int:
         scores, preds = forward(net, pre.apply(dataset.values))
         stats = scores if scores.ndim == 1 else scores.max(axis=1)
     else:
-        if args.threshold is None or args.threshold <= 0:
-            raise ValueError("--threshold must be a positive number for scan methods")
+        if args.threshold is None:
+            raise ValueError("--threshold is required for scan methods")
         stats = _statistics(args.method, dataset.values)
         preds = (stats > args.threshold).astype(np.int64)
     report = mer_from_predictions(dataset.labels, preds, threshold=args.threshold,
@@ -157,6 +165,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_localise(args) -> int:
+    _check_threshold_arg(args.threshold)
     rows = load_values(args.data)
     threshold = args.threshold
     if threshold is None:
@@ -184,6 +193,7 @@ def _cmd_localise(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_threshold_arg(args.threshold)
     seed = _seed(args)
     test_set = load_dataset(args.test)
     if args.method == "net":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cusum
 from .localise import cusum_star_window_classifier, localise
-from .simulate import LabeledDataset, gen_piecewise
+from .simulate import LabeledDataset, _no_leftover, gen_piecewise
 
 __all__ = [
     "EvalReport",
@@ -180,7 +180,7 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
     if kind == "null_rate":
         n = int(params.pop("n", 100))
         eps = float(params.pop("eps", 0.05))
-        _reject_leftover(params)
+        _no_leftover(params)
         threshold = cusum.null_threshold(n, eps)
         stats = batch_cusum_statistics(rng.standard_normal((reps, n)))
         empirical = float(np.mean(stats > threshold))
@@ -190,7 +190,7 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
         n = int(params.pop("n", 100))
         eps = float(params.pop("eps", 0.05))
         mult = float(params.pop("snr_multiplier", 1.05))
-        _reject_leftover(params)
+        _no_leftover(params)
         threshold = cusum.null_threshold(n, eps)
         target_snr = mult * math.sqrt(8.0 * math.log(n / eps) / n)
         stats = batch_cusum_statistics(_mean_change_draws(rng, reps, n, target_snr))
@@ -202,7 +202,7 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
         snr_bound = float(params.pop("snr_bound", 0.8))
         mult = float(params.pop("snr_multiplier", 1.05))
         frac = float(params.pop("change_fraction", 0.5))
-        _reject_leftover(params)
+        _no_leftover(params)
         threshold = cusum.snr_threshold(n, snr_bound)
         labels = (rng.random(reps) < frac).astype(np.int64)
         X = rng.standard_normal((reps, n))
@@ -232,11 +232,6 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
     )
 
 
-def _reject_leftover(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters: {sorted(params)}")
-
-
 def _mean_change_signals(rng, count, n, target_snr):
     """Step signals with SNR exactly ``target_snr`` at uniform locations and signs."""
     taus = rng.integers(1, n, size=count)
@@ -260,7 +255,7 @@ def _localisation_failure_rate(rng, reps, params):
     gamma = float(params.pop("gamma", 0.5))
     noise_sd = float(params.pop("noise_sd", 1.0))
     failure_bound = float(params.pop("failure_bound", 0.05))
-    _reject_leftover(params)
+    _no_leftover(params)
 
     jumps = np.abs(np.diff(np.asarray(means)))
     if np.any(jumps <= 2.0 * math.sqrt(2.0) * snr_bound):

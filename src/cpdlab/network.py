@@ -140,8 +140,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        constants = (self.learning_rate, self.beta1, self.beta2, self.adam_eps, self.lr_decay)
+        if not all(math.isfinite(c) for c in constants):
+            raise ValueError("optimiser constants must be finite")
         if min(self.learning_rate, self.beta1, self.beta2, self.adam_eps) <= 0:
             raise ValueError("optimiser constants must be positive")
+        if max(self.beta1, self.beta2) >= 1:
+            raise ValueError("beta1 and beta2 must be < 1")
         if self.lr_decay < 0:
             raise ValueError("lr_decay must be >= 0")
 

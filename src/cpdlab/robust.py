@@ -10,7 +10,8 @@ which depends on the data only through its ordering and therefore
 tolerates arbitrarily heavy tails.  Ties contribute -1/2 through the
 strict indicator, exactly as written; in particular a constant series
 produces a nonzero statistic driven purely by tie terms, which we keep
-as the literal value of the formula.
+as the literal value of the formula.  The pair sums are counted from one
+stable sort of each row, for a whole (N, n) batch at once.
 
 ``zscore_truncate`` is the complementary preprocessing step: it clips
 entries further than ``z`` population standard deviations from the mean
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cusum import _as_rows, _peak, as_series
+from .cusum import _as_rows, _check_threshold, _peak, as_series
 
 __all__ = [
     "wilcoxon_statistic",
@@ -41,73 +42,59 @@ def _scale_factors(n: int) -> np.ndarray:
     return 2.0 * np.sqrt(k * (n - k)) / n * n**-1.5
 
 
-class _Fenwick:
-    """Binary indexed tree over ranks, counting inserted elements."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, size: int):
-        self.tree = [0] * (size + 1)
-
-    def add(self, i: int) -> None:
-        tree = self.tree
-        size = len(tree) - 1
-        while i <= size:
-            tree[i] += 1
-            i += i & (-i)
-
-    def count_leq(self, i: int) -> int:
-        tree = self.tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-
 def _pair_sums(x: np.ndarray) -> np.ndarray:
-    """U_k = #{(i, j): i <= k < j, x_i < x_j} for k = 1..n-1, in O(n log n).
+    """U_k = #{(i, j): i <= k < j, x_i < x_j} for k = 1..n-1, along the last axis.
 
-    Uses the update U_k = U_{k-1} - #{i < k: x_i < x_k} + #{j > k: x_j > x_k};
-    both counts come from Fenwick trees over dense ranks, with strict
-    comparisons so ties are never counted.
+    Uses U_k = sum_{i<=k} (G_i + E_i) - k(k-1)/2 with G_i = #{j: x_j > x_i}
+    and E_i = #{j < i: x_j = x_i}: of the k(k-1)/2 pairs inside the prefix,
+    the untied ones are counted once by G and the tied ones once by E.
+    After one stable sort, an entry at sorted position p in the tie group
+    [f, l] has G = n-1-l and E = p-f; n-1-l is f of the reversed order.
+    All counts are exact integers.
     """
-    n = x.size
-    ranks = np.searchsorted(np.unique(x), x) + 1  # dense ranks in 1..r
-    r = int(ranks.max())
-
-    below = np.empty(n, dtype=np.int64)  # of earlier entries, how many are smaller
-    tree = _Fenwick(r)
-    for k in range(n):
-        below[k] = tree.count_leq(int(ranks[k]) - 1)
-        tree.add(int(ranks[k]))
-
-    above = np.empty(n, dtype=np.int64)  # of later entries, how many are larger
-    tree = _Fenwick(r)
-    for k in range(n - 1, -1, -1):
-        above[k] = (n - 1 - k) - tree.count_leq(int(ranks[k]))
-        tree.add(int(ranks[k]))
-
-    u = np.cumsum(above[:-1] - below[:-1])
+    n = x.shape[-1]
+    # In-place steps and early deletes keep the scratch memory of a batch
+    # near three arrays of its size.
+    order = np.argsort(x, axis=-1, kind="stable")
+    s = np.take_along_axis(x, order, axis=-1)
+    starts = np.ones(s.shape, dtype=bool)  # sorted position p opens a tie group
+    starts[..., 1:] = s[..., 1:] != s[..., :-1]
+    del s
+    pos = np.arange(n)
+    first = np.where(starts, pos, 0)
+    np.maximum.accumulate(first, axis=-1, out=first)
+    counts = np.where(np.roll(starts, -1, axis=-1)[..., ::-1], pos, 0)  # group ends
+    del starts
+    np.maximum.accumulate(counts, axis=-1, out=counts)
+    counts = counts[..., ::-1]
+    counts += pos
+    counts -= first  # G + E in sorted order
+    del first
+    u = np.empty_like(counts)
+    np.put_along_axis(u, order, counts, axis=-1)
+    del order, counts
+    u = np.cumsum(u, axis=-1, out=u)[..., :-1]
+    k = pos[1:]
+    u -= k * (k - 1) // 2
     return u
 
 
 def wilcoxon_statistic(x):
     """Return ``(T, argmax k)`` of the rank cumulative-sum scan, smallest k on ties.
 
-    Rank-based O(n log n) evaluation; agrees exactly (same floats) with
+    One stable sort per row gives the integer pair sums in O(n log n)
+    (see :func:`_pair_sums`); they agree exactly (same floats) with
     :func:`wilcoxon_statistic_bruteforce` because the pair sums are
     integers, the centring term is a half-integer, and both paths apply
     the same normalisation factors.  For a batch (N, n) both entries are
-    length-N arrays, computed one row at a time.
+    length-N arrays.
     """
     x = _as_rows(x)
     n = x.shape[-1]
     k = np.arange(1, n, dtype=np.float64)
-    factors = _scale_factors(n)
-    stats = np.array([np.abs(factors * (_pair_sums(row) - k * (n - k) / 2.0))
-                      for row in x.reshape(-1, n)])
-    return _peak(stats.reshape(x.shape[:-1] + (n - 1,)), np.arange(1, n))
+    stats = _pair_sums(x) - k * (n - k) / 2.0
+    stats *= _scale_factors(n)
+    return _peak(np.abs(stats, out=stats), np.arange(1, n))
 
 
 def wilcoxon_statistic_bruteforce(x) -> tuple[float, int]:
@@ -123,9 +110,8 @@ def wilcoxon_statistic_bruteforce(x) -> tuple[float, int]:
 
 def wilcoxon_classify(x, threshold: float) -> int:
     """Flag a change when the rank scan strictly exceeds ``threshold``."""
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return int(wilcoxon_statistic(x)[0] > threshold)
+    _check_threshold(threshold)
+    return int(wilcoxon_statistic(as_series(x))[0] > threshold)
 
 
 def zscore_truncate(x, z: float) -> np.ndarray:

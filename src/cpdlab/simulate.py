@@ -365,10 +365,7 @@ def gen_changetype(kind: str, params: dict | None = None, seed: int = 0):
             raise ValueError("autoregression coefficients must have modulus < 1")
         xi = noise_sd * rng.standard_normal(n)
         coef = np.where(np.arange(1, n + 1) < tau, coef_left, coef_right)
-        x = np.empty(n)
-        x[0] = xi[0]
-        for t in range(1, n):
-            x[t] = coef[t] * x[t - 1] + xi[t]
+        x = ar1_noise(coef, xi)
         meta.update(coef_left=coef_left, coef_right=coef_right, noise_sd=noise_sd,
                     change=coef_left != coef_right)
     else:

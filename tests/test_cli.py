@@ -111,6 +111,23 @@ def test_exit_codes(tmp_path):
                 "--data", tmp_path / "absent.csv", "--out", tmp_path / "y.json"]) == 2
     # bad scenario -> 2
     assert run(["simulate", "--scenario", "S9", "--out", tmp_path / "z.csv"]) == 2
+    # a threshold that is not a finite positive number -> 2, before any report
+    data, values = tmp_path / "d.csv", tmp_path / "v.csv"
+    run(["simulate", "--N", 10, "--out", data])
+    save_values(load_dataset(data).values, values)
+    out = tmp_path / "r.json"
+    for threshold in ("nan", "inf", "-inf", "-5", "0"):
+        assert run(["detect", "--method", "cusum", "--threshold", threshold,
+                    "--data", data, "--out", out]) == 2
+        assert run(["evaluate", "--method", "cusum", "--threshold", threshold,
+                    "--test", data, "--out", out]) == 2
+        assert run(["localise", "--window", 4, "--threshold", threshold,
+                    "--data", values, "--out", out]) == 2
+    assert not out.exists()
+    # a non-finite optimiser constant -> 2, not a divergence failure
+    for flag in ("--learning-rate", "--lr-decay"):
+        assert run(["train", "--data", data, "--epochs", 1, flag, "nan",
+                    "--out", tmp_path / "net.json"]) == 2
 
 
 def test_reps_support_comes_from_the_recipe_signature(tmp_path, monkeypatch):

@@ -281,6 +281,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-finite"):
             train(X, np.array([0, 1, 0, 1]), Architecture(3, (2,), 1), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("learning_rate", "lr_decay", "beta1", "beta2", "adam_eps")
+        for value in (math.nan, math.inf)] + [("beta1", 1.0), ("beta2", 1.5)])
+    def test_config_rejects_bad_constant(self, field, value):
+        with pytest.raises(ValueError, match="finite|< 1"):
+            TrainConfig(**{field: value})
+
     def test_label_arity_mismatch(self):
         X = np.zeros((4, 3))
         with pytest.raises(ValueError, match="binary"):

@@ -41,14 +41,17 @@ class TestWilcoxonStatistic:
 
 
 class TestWilcoxonProperties:
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=80, deadline=None, database=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 30)),
-                  elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+                  elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+                  | st.integers(-2, 2).map(float) | st.sampled_from([0.0, -0.0])))
     def test_batch_matches_rows(self, X):
+        # Small integers and signed zeros force ties; 0.0 and -0.0 compare equal.
         stats, splits = robust.wilcoxon_statistic(X)
         rows = [robust.wilcoxon_statistic(x) for x in X]
         assert np.array_equal(stats, [s for s, _ in rows])
         assert np.array_equal(splits, [k for _, k in rows])
+        assert rows == [robust.wilcoxon_statistic_bruteforce(x) for x in X]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(arrays(np.int64, st.integers(2, 40), elements=st.integers(-6, 6)),
@@ -79,6 +82,8 @@ class TestWilcoxonClassify:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError, match="positive"):
             robust.wilcoxon_classify([1.0, 2.0], 0.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            robust.wilcoxon_classify(np.zeros((3, 4)), 0.5)
 
 
 class TestZscoreTruncate:
