@@ -28,7 +28,7 @@ print("\n== thresholds ==")
 for eps in (0.2, 0.05, 0.01):
     thr = cp.null_threshold(n, eps)
     print(f"null threshold for false-positive budget {eps}: {thr:.3f}")
-print(f"decision at eps=0.05: {cp.cusum_classify(x, cp.null_threshold(n, 0.05))}")
+print(f"decision at eps=0.05: {int(stat > cp.null_threshold(n, 0.05))}")
 
 print("\n== dyadic grid: O(log n) scan points ==")
 grid = cp.dyadic_grid(n)

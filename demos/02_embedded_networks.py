@@ -3,8 +3,8 @@
 One hidden unit per signed contrast, biased by the scan threshold, and a
 summing output unit thresholded at zero: the hinge sum is positive
 precisely when some contrast clears the threshold.  This demo builds
-both embeddings and confirms they agree with the direct classifiers on
-every input with a nonzero margin.
+both embeddings and confirms they agree with the thresholded scan
+statistics on every input with a nonzero margin.
 """
 
 import numpy as np
@@ -24,11 +24,11 @@ X = rng.standard_normal((5000, n))
 X[:2500] += (np.arange(n) >= 50) * rng.uniform(0.5, 2.0, (2500, 1))
 
 _, labels = cp.forward(net_full, X)
-direct = np.array([cp.cusum_classify(row, lam) for row in X])
+direct = cp.cusum_statistic(X)[0] > lam
 print(f"\nfull embedding vs direct scan: {np.mean(labels == direct):.4%} agreement")
 
 _, labels_star = cp.forward(net_star, X)
-direct_star = np.array([cp.cusum_star_classify(row, lam) for row in X])
+direct_star = cp.cusum_star_statistic(X)[0] > lam
 print(f"grid embedding vs direct scan: {np.mean(labels_star == direct_star):.4%} agreement")
 
 print("\nBecause the scan lives inside the network class, a trained network")

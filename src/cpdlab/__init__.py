@@ -10,8 +10,6 @@ Monte-Carlo harness that checks the advertised error bounds.
 from .cusum import (
     as_series,
     cusum_basis,
-    cusum_classify,
-    cusum_star_classify,
     cusum_star_statistic,
     cusum_statistic,
     cusum_transform,
@@ -36,7 +34,6 @@ from .glr import (
     slope_change_design,
 )
 from .robust import (
-    wilcoxon_classify,
     wilcoxon_statistic,
     wilcoxon_statistic_bruteforce,
     zscore_truncate,
@@ -64,7 +61,6 @@ from .network import (
     grad_check,
     lag_product,
     loss_and_gradient,
-    predict_proba,
     network_from_json,
     network_to_json,
     train,
@@ -73,7 +69,6 @@ from .network import (
 from .localise import (
     LocalisationResult,
     WindowClassifier,
-    binary_window_classifier,
     cusum_star_window_classifier,
     network_window_classifier,
     localise,
@@ -84,7 +79,6 @@ from .evaluate import (
     EvalReport,
     LocalisationErrorReport,
     batch_cusum_statistics,
-    evaluate_classifier,
     localisation_rmse,
     mer_from_predictions,
     monte_carlo_bound_check,

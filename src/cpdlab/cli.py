@@ -124,20 +124,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_network(path):
-    with open(path, encoding="ascii") as fh:
+def _net_forward(args, values):
+    """``(scores, labels)`` of the ``--net`` network, whose own threshold decides."""
+    if not args.net:
+        raise ValueError("--net is required with method 'net'")
+    if args.threshold is not None:
+        raise ValueError("--threshold does not apply to method 'net'; "
+                         "the network's own threshold decides")
+    with open(args.net, encoding="ascii") as fh:
         net, pre = network_from_json(fh.read())
-    return net, pre or Preprocessor()
+    return forward(net, (pre or Preprocessor()).apply(values))
 
 
 def _cmd_detect(args) -> int:
     _check_threshold_arg(args.threshold)
     dataset = load_dataset(args.data)
     if args.method == "net":
-        if not args.net:
-            raise ValueError("--net is required with method 'net'")
-        net, pre = _load_network(args.net)
-        scores, preds = forward(net, pre.apply(dataset.values))
+        scores, preds = _net_forward(args, dataset.values)
         stats = scores if scores.ndim == 1 else scores.max(axis=1)
     else:
         if args.threshold is None:
@@ -197,10 +200,7 @@ def _cmd_evaluate(args) -> int:
     seed = _seed(args)
     test_set = load_dataset(args.test)
     if args.method == "net":
-        if not args.net:
-            raise ValueError("--net is required with method 'net'")
-        net, pre = _load_network(args.net)
-        _, preds = forward(net, pre.apply(test_set.values))
+        _, preds = _net_forward(args, test_set.values)
         threshold = None
     else:
         threshold = args.threshold

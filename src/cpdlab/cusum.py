@@ -13,10 +13,11 @@ dyadic-grid variant evaluates only O(log n) contrasts and loses at most
 a fixed fraction of the peak response (see :func:`step_response`).
 
 The transform and both statistics work along the last axis, on one
-series of shape (n,) or a batch of shape (N, n); the classifiers take
-one series.  All functions are pure; the contrast matrix returned by
-:func:`cusum_basis` is cached per length and marked read-only so it can
-be shared across workers.
+series of shape (n,) or a batch of shape (N, n); a scan classifies a
+series as changed when its statistic strictly exceeds the threshold,
+``statistic > threshold``, so a tie classifies as 0.  All functions are
+pure; the contrast matrix returned by :func:`cusum_basis` is cached per
+length and marked read-only so it can be shared across workers.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ __all__ = [
     "cusum_basis",
     "cusum_transform",
     "cusum_statistic",
-    "cusum_classify",
     "dyadic_grid",
     "cusum_star_statistic",
-    "cusum_star_classify",
     "null_threshold",
     "snr_threshold",
     "snr_threshold_star",
@@ -124,15 +123,6 @@ def cusum_statistic(x):
     return _peak(t, np.arange(1, t.shape[-1] + 1))
 
 
-def cusum_classify(x, threshold: float) -> int:
-    """Flag a mean change when the full scan strictly exceeds ``threshold``.
-
-    Ties with the threshold classify as 0.
-    """
-    _check_threshold(threshold)
-    return int(cusum_statistic(as_series(x))[0] > threshold)
-
-
 @functools.lru_cache(maxsize=64)
 def dyadic_grid(n: int) -> np.ndarray:
     """Return the sorted dyadic scan grid {2^q} | {n - 2^q}, q = 0..floor(log2(n/2)).
@@ -158,12 +148,6 @@ def cusum_star_statistic(x):
     x = _as_rows(x, min_len=4)
     grid = dyadic_grid(x.shape[-1])
     return _peak(np.abs(cusum_transform(x)[..., grid - 1]), grid)
-
-
-def cusum_star_classify(x, threshold: float) -> int:
-    """Dyadic-grid analogue of :func:`cusum_classify`."""
-    _check_threshold(threshold)
-    return int(cusum_star_statistic(as_series(x))[0] > threshold)
 
 
 def null_threshold(n: int, eps: float) -> float:
@@ -227,11 +211,6 @@ def step_response(n: int, tau: int, delta: float = 1.0) -> np.ndarray:
     rising = (n - tau) * np.sqrt(i / (n * (n - i)))
     falling = tau * np.sqrt((n - i) / (n * i))
     return abs(delta) * np.where(i <= tau, rising, falling)
-
-
-def _check_threshold(threshold: float) -> None:
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
 
 
 def _check_snr_args(n: int, snr_bound: float) -> None:

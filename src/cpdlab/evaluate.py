@@ -17,14 +17,13 @@ import numpy as np
 
 from . import cusum
 from .localise import cusum_star_window_classifier, localise
-from .simulate import LabeledDataset, _no_leftover, gen_piecewise
+from .simulate import _no_leftover, gen_piecewise
 
 __all__ = [
     "EvalReport",
     "BoundCheck",
     "LocalisationErrorReport",
     "mer_from_predictions",
-    "evaluate_classifier",
     "tune_threshold",
     "monte_carlo_bound_check",
     "localisation_rmse",
@@ -80,13 +79,6 @@ def mer_from_predictions(true_labels, predicted, *, threshold=None, seed=None,
         seed=seed,
         fingerprint=fingerprint,
     )
-
-
-def evaluate_classifier(predict, dataset: LabeledDataset, **kwargs) -> EvalReport:
-    """Apply ``predict`` (series -> label) to every example and score it."""
-    preds = np.array([predict(row) for row in dataset.values], dtype=np.int64)
-    kwargs.setdefault("fingerprint", dataset.fingerprint())
-    return mer_from_predictions(dataset.labels, preds, **kwargs)
 
 
 def tune_threshold(stats, labels, grid=None, grid_size: int = 200) -> float:

@@ -13,8 +13,6 @@ distribution shifts between entries ``t`` and ``t + 1``.
 
 A classifier is a :class:`WindowClassifier`: a window length plus one
 function that labels every window of a series in a single call.
-:func:`binary_window_classifier` lifts a per-window decision function
-into that form.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .cusum import _step_contrast, as_series, dyadic_grid
 __all__ = [
     "WindowClassifier",
     "LocalisationResult",
-    "binary_window_classifier",
     "network_window_classifier",
     "cusum_star_window_classifier",
     "sliding_labels",
@@ -42,38 +39,25 @@ class WindowClassifier:
     """A window length plus a labeller of every window of a long series.
 
     ``label_series(series)`` receives a series already validated by
-    :func:`sliding_labels` and returns ``(labels, probabilities)``, one
-    entry per offset: entry ``i-1`` is the verdict on the window starting
-    at position ``i``.
+    :func:`sliding_labels` and returns the 0/1 labels, one per offset:
+    entry ``i-1`` is the verdict on the window starting at position ``i``.
     """
 
     length: int
-    label_series: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    label_series: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.length < 4:
             raise ValueError(f"window length must be >= 4, got {self.length}")
 
 
-def binary_window_classifier(length: int, decide: Callable[[np.ndarray], int]) -> WindowClassifier:
-    """Lift a plain 0/1 decision on one window; probability echoes the label."""
-
-    def label_series(series):
-        windows = np.lib.stride_tricks.sliding_window_view(series, length)
-        labels = np.array([int(decide(w)) for w in windows], dtype=np.int64)
-        return labels, labels.astype(np.float64)
-
-    return WindowClassifier(length, label_series)
-
-
 def network_window_classifier(net, preprocessor=None) -> WindowClassifier:
     """Use a trained binary network as the window classifier.
 
     Each window is preprocessed (identity when ``preprocessor`` is
-    ``None``), labelled by the network's hard decision, and annotated
-    with the logistic probability of a change.
+    ``None``) and labelled by the network's hard decision.
     """
-    from .network import forward, predict_proba
+    from .network import forward
 
     if not net.is_binary:
         raise ValueError("localisation needs a binary window classifier")
@@ -83,9 +67,7 @@ def network_window_classifier(net, preprocessor=None) -> WindowClassifier:
     def label_series(series):
         windows = np.lib.stride_tricks.sliding_window_view(series, length)
         feats = windows if preprocessor is None else preprocessor.apply(windows)
-        _, labels = forward(net, feats)
-        probs = predict_proba(net, feats)
-        return labels.astype(np.int64), np.asarray(probs, dtype=np.float64)
+        return forward(net, feats)[1]
 
     return WindowClassifier(length, label_series)
 
@@ -118,8 +100,7 @@ def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassif
         for t in grid:
             split = prefix[t:t + count]
             np.maximum(best, np.abs(_step_contrast(split - start, stop - split, t, n)), out=best)
-        labels = (best > threshold).astype(np.int64)
-        return labels, labels.astype(np.float64)
+        return (best > threshold).astype(np.int64)
 
     return WindowClassifier(length, label_series)
 
@@ -127,12 +108,11 @@ def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassif
 def sliding_labels(series, classifier: WindowClassifier):
     """Classify every window of the series.
 
-    Returns ``(labels, probabilities)`` of length ``len(series) - n + 1``;
-    entry ``i-1`` is the verdict on the window starting at position ``i``.
+    Returns the labels, of length ``len(series) - n + 1``; entry ``i-1``
+    is the verdict on the window starting at position ``i``.
     """
     series = as_series(series, min_len=classifier.length)
-    labels, probs = classifier.label_series(series)
-    return np.asarray(labels, dtype=np.int64), np.asarray(probs, dtype=np.float64)
+    return np.asarray(classifier.label_series(series), dtype=np.int64)
 
 
 @dataclass
@@ -142,17 +122,14 @@ class LocalisationResult:
     ``running_mean[j]`` is the vote average over windows
     ``j+1 .. j+n`` (1-based window indices ``i = n .. len(series)-n+1``
     map to ``running_mean[i - n]``).  ``segments`` holds the maximal
-     1-based index ranges where the running mean reached the vote
-    threshold, one estimated change point per segment.  ``probabilities``
-    carries the per-window probabilities verbatim; the estimator itself
-    uses only the labels.
+    1-based index ranges where the running mean reached the vote
+    threshold, one estimated change point per segment.
     """
 
     change_points: list[int]
     segments: list[tuple[int, int]]
     running_mean: np.ndarray
     labels: np.ndarray
-    probabilities: np.ndarray
     window_length: int
     vote_threshold: float
 
@@ -168,7 +145,7 @@ def localise(series, classifier: WindowClassifier, gamma: float = 0.5) -> Locali
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     n = classifier.length
     series = as_series(series, min_len=2 * n)
-    labels, probs = sliding_labels(series, classifier)
+    labels = sliding_labels(series, classifier)
     window = np.ones(n) / n
     running = np.convolve(labels.astype(np.float64), window, mode="valid")
 
@@ -187,4 +164,4 @@ def localise(series, classifier: WindowClassifier, gamma: float = 0.5) -> Locali
         peak = start + int(np.argmax(running[start:stop + 1]))
         segments.append((start + n, stop + n))  # back to 1-based window indices
         change_points.append(peak + n)
-    return LocalisationResult(change_points, segments, running, labels, probs, n, gamma)
+    return LocalisationResult(change_points, segments, running, labels, n, gamma)

@@ -9,7 +9,7 @@ exceeds the decision threshold; multiclass networks take the argmax.
 classifier: one hidden unit per signed scan contrast with bias equal to
 the scan threshold, and a summing output unit thresholded at zero.  The
 sum of hinges is positive precisely when some contrast exceeds the
-threshold, so the network and the direct classifier agree on every
+threshold, so the network and the thresholded scan agree on every
 input whose statistic is not exactly at the threshold.
 
 Training minimises the cross-entropy of a logistic (or softmax) link on
@@ -38,7 +38,6 @@ __all__ = [
     "unit_scale",
     "lag_product",
     "forward",
-    "predict_proba",
     "embed_cusum",
     "loss_and_gradient",
     "train",
@@ -301,22 +300,6 @@ def forward(net: Network, x):
     if single:
         return (float(scores[0]) if net.is_binary else scores[0]), int(labels[0])
     return scores, labels
-
-
-def predict_proba(net: Network, x):
-    """Probability view of the scores: logistic for binary, softmax rows otherwise.
-
-    This is the calibration used during training; the hard label rule of
-    :func:`forward` is the evaluation-time decision.
-    """
-    scores, _ = forward(net, x)
-    if net.is_binary:
-        if np.ndim(scores) == 0:
-            return float(_sigmoid(np.array([scores]))[0])
-        return _sigmoid(scores)
-    shift = scores - np.max(scores, axis=-1, keepdims=True)
-    weights = np.exp(shift)
-    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def embed_cusum(n: int, threshold: float, variant: str = "full") -> Network:

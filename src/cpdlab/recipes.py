@@ -72,16 +72,11 @@ def _binary_benchmark(scenario, seed, train_size, test_size, hidden, preprocesso
     }
 
 
-def _seeded_runs(base_seed, n_seeds, one_run):
-    runs = [one_run(base_seed + 1000 * k) for k in range(n_seeds)]
-    return runs
-
-
 def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Gaussian scenario S1: wide single-layer network versus tuned CUSUM."""
-    runs = _seeded_runs(seed, n_seeds, lambda s: _binary_benchmark(
-        "S1", s, train_size, test_size, (198,), Preprocessor(), epochs=epochs))
+    runs = [_binary_benchmark("S1", seed + 1000 * k, train_size, test_size, (198,),
+                              Preprocessor(), epochs=epochs) for k in range(n_seeds)]
     diffs = [r["network_mer"] - r["cusum_mer"] for r in runs]
     return {
         "recipe": "fig1a",
@@ -100,8 +95,8 @@ def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
 def fig1d(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Cauchy scenario S3: the trained network should beat tuned CUSUM."""
-    runs = _seeded_runs(seed, n_seeds, lambda s: _binary_benchmark(
-        "S3", s, train_size, test_size, (198,), Preprocessor(), epochs=epochs))
+    runs = [_binary_benchmark("S3", seed + 1000 * k, train_size, test_size, (198,),
+                              Preprocessor(), epochs=epochs) for k in range(n_seeds)]
     gains = [r["cusum_mer"] - r["network_mer"] for r in runs]
     return {
         "recipe": "fig1d",
@@ -160,8 +155,8 @@ def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200, z: float = 3.0,
           clip_passes: int = 12) -> dict:
     """Cauchy scenario S3: truncation-preprocessed net versus tuned rank scan."""
-    runs = _seeded_runs(seed, n_seeds, lambda s: _figb1_run(
-        s, train_size, test_size, epochs, z, clip_passes))
+    runs = [_figb1_run(seed + 1000 * k, train_size, test_size, epochs, z, clip_passes)
+            for k in range(n_seeds)]
     margins = [r["network_mer"] - r["wilcoxon_mer"] for r in runs]
     return {
         "recipe": "figb1",

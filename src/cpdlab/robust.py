@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cusum import _as_rows, _check_threshold, _peak, as_series
+from .cusum import _as_rows, _peak, as_series
 
 __all__ = [
     "wilcoxon_statistic",
     "wilcoxon_statistic_bruteforce",
-    "wilcoxon_classify",
     "zscore_truncate",
 ]
 
@@ -106,12 +105,6 @@ def wilcoxon_statistic_bruteforce(x) -> tuple[float, int]:
     stats = np.abs(_scale_factors(n) * sums)
     best = int(np.argmax(stats))
     return float(stats[best]), best + 1
-
-
-def wilcoxon_classify(x, threshold: float) -> int:
-    """Flag a change when the rank scan strictly exceeds ``threshold``."""
-    _check_threshold(threshold)
-    return int(wilcoxon_statistic(as_series(x))[0] > threshold)
 
 
 def zscore_truncate(x, z: float) -> np.ndarray:

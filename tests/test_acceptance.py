@@ -71,11 +71,11 @@ def test_criterion_01_embedding_equivalence():
 
         if n == 2:
             # The dyadic grid is undefined below length 4: the embedding
-            # and the direct classifier must agree by both rejecting.
+            # and the scan statistic must agree by both rejecting.
             with pytest.raises(ValueError):
                 embed_cusum(2, lam, "star")
             with pytest.raises(ValueError):
-                cusum.cusum_star_classify(X[0], lam)
+                cusum.cusum_star_statistic(X[0])
             continue
         star_stats = _batch_star_statistics(X)
         star_margin = np.abs(star_stats - lam) > 1e-9

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cpdlab import cusum
 from cpdlab.cli import main
 from cpdlab.dataio import load_dataset, save_values
 from cpdlab.network import (Architecture, Preprocessor, _init_network, embed_cusum,
@@ -82,6 +83,21 @@ def test_detect_requires_threshold_for_scans(tmp_path):
     assert run(["detect", "--method", "cusum", "--data", data, "--out", out]) == 2
 
 
+def test_detect_threshold_tie_is_zero(tmp_path):
+    # A statistic equal to the threshold does not exceed it: decision 0.
+    data = tmp_path / "d.csv"
+    run(["simulate", "--scenario", "S1", "--N", 20, "--seed", 4, "--out", data])
+    stats = cusum.cusum_statistic(load_dataset(data).values)[0]
+    row = int(np.argmax(stats))
+    out = tmp_path / "r.json"
+    for threshold, decision in ((stats[row], 0), (np.nextafter(stats[row], 0.0), 1)):
+        assert run(["detect", "--method", "cusum", "--threshold", repr(float(threshold)),
+                    "--data", data, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["statistics"][row] == stats[row]
+        assert report["decisions"][row] == decision
+
+
 def test_localise_command(tmp_path):
     series, _ = gen_piecewise(2000, [900], [0.0, 9.0], seed=0, min_spacing=256)
     data = tmp_path / "series.csv"
@@ -123,6 +139,13 @@ def test_exit_codes(tmp_path):
                     "--test", data, "--out", out]) == 2
         assert run(["localise", "--window", 4, "--threshold", threshold,
                     "--data", values, "--out", out]) == 2
+    # --threshold with method net -> 2: the network's own threshold decides
+    net = tmp_path / "net.json"
+    net.write_text(network_to_json(embed_cusum(100, 3.0), Preprocessor((("identity",),))))
+    assert run(["detect", "--method", "net", "--net", net, "--threshold", 50,
+                "--data", data, "--out", out]) == 2
+    assert run(["evaluate", "--method", "net", "--net", net, "--threshold", 50,
+                "--test", data, "--out", out]) == 2
     assert not out.exists()
     # a non-finite optimiser constant -> 2, not a divergence failure
     for flag in ("--learning-rate", "--lr-decay"):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpdlab import cusum
+from cpdlab.localise import cusum_star_window_classifier
+from cpdlab.network import embed_cusum
 
 
 class TestBasis:
@@ -81,23 +83,26 @@ class TestTransform:
 
 
 class TestClassifiers:
+    """A scan classifies a series as changed when ``statistic > threshold``."""
+
     def test_constant_never_fires(self):
-        assert cusum.cusum_classify([2.0] * 8, 0.001) == 0
+        X = np.full((3, 8), 2.0)
+        assert not np.any(cusum.cusum_statistic(X)[0] > 0.001)
+        assert not np.any(cusum.cusum_star_statistic(X)[0] > 0.001)
 
     def test_spike_statistic(self):
         stat, tau = cusum.cusum_statistic([3.0, 0.0])
         assert stat == pytest.approx(3 / math.sqrt(2))
         assert tau == 1
-        assert cusum.cusum_classify([3.0, 0.0], 1.0) == 1
-        assert cusum.cusum_classify([3.0, 0.0], 3.0) == 0
-
-    def test_threshold_tie_classifies_zero(self):
-        stat, _ = cusum.cusum_statistic([3.0, 0.0])
-        assert cusum.cusum_classify([3.0, 0.0], stat) == 0
+        assert stat > 1.0 and not stat > 3.0
 
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError, match="positive"):
-            cusum.cusum_classify([1.0, 2.0], 0.0)
+        # The two classifiers built from the scan at a fixed threshold.
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                embed_cusum(8, threshold)
+            with pytest.raises(ValueError, match="positive"):
+                cusum_star_window_classifier(8, threshold)
 
 
 class TestDyadicGrid:
@@ -126,7 +131,7 @@ class TestDyadicGrid:
 
 class TestStarScan:
     def test_constant_series(self):
-        assert cusum.cusum_star_classify([1.0] * 8, 0.01) == 0
+        assert cusum.cusum_star_statistic([1.0] * 8)[0] <= 0.01
 
     def test_subset_bound(self):
         rng = np.random.default_rng(2)

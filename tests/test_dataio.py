@@ -1,7 +1,13 @@
 """Tests for dataset CSV and JSON report round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdlab.dataio import (
     load_dataset,
@@ -11,7 +17,25 @@ from cpdlab.dataio import (
     save_values,
     write_report,
 )
-from cpdlab.simulate import ScenarioSpec, gen_scenario
+from cpdlab.simulate import LabeledDataset, ScenarioSpec, gen_scenario
+
+# Finite floats, with the extremes a decimal round trip must keep: signed
+# zeros, subnormals and values next to the largest double.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def datasets(draw):
+    size, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    values = draw(arrays(np.float64, (size, n), elements=FINITE))
+    labels = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+    taus = draw(st.lists(st.none() | st.integers(1, max(n - 1, 1)), min_size=size,
+                         max_size=size))
+    metadata = [{"tau": tau, "label": label} for tau, label in zip(taus, labels)]
+    return LabeledDataset(values, np.asarray(labels), metadata)
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
@@ -23,6 +47,19 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.labels, ds.labels)
     for a, b in zip(loaded.metadata, ds.metadata):
         assert a["tau"] == b["tau"]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(datasets())
+def test_dataset_roundtrip_property(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+    assert loaded.values.shape == ds.values.shape
+    assert loaded.values.tobytes() == ds.values.tobytes()  # bit-exact, signs of zero too
+    np.testing.assert_array_equal(loaded.labels, ds.labels)
+    assert [m["tau"] for m in loaded.metadata] == [m["tau"] for m in ds.metadata]
 
 
 def test_save_is_deterministic(tmp_path):

@@ -270,7 +270,7 @@ class TestOracleClassify:
         stats = recipes._scan_statistics("mean", X)
         for thr in (0.5, 1.5, 3.0):
             fired = (stats > thr).astype(int)
-            assert fired.tolist() == [cusum.cusum_classify(x, thr) for x in X]
+            assert fired.tolist() == [int(cusum.cusum_statistic(x)[0] > thr) for x in X]
 
     def test_variance_oracle_detects_sd_doubling(self):
         rng = np.random.default_rng(11)

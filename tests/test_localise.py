@@ -6,7 +6,6 @@ import pytest
 from cpdlab import cusum
 from cpdlab.localise import (
     WindowClassifier,
-    binary_window_classifier,
     cusum_star_window_classifier,
     localise,
     sliding_labels,
@@ -22,28 +21,32 @@ def _straddle_classifier(n, tau):
         labels = np.zeros(count, dtype=np.int64)
         # 1-based windows i in [tau-n+2, tau] contain the change at tau.
         labels[max(0, tau - n + 1):tau] = 1
-        return labels, labels.astype(float)
+        return labels
 
     return WindowClassifier(n, label_series)
 
 
+def _constant_classifier(n, label):
+    """Give every window of length n the same label."""
+    return WindowClassifier(n, lambda series: np.full(series.size - n + 1, label))
+
+
 class TestSlidingLabels:
     def test_constant_one_classifier(self):
-        clf = binary_window_classifier(4, lambda w: 1)
-        labels, probs = sliding_labels(np.zeros(10), clf)
+        labels = sliding_labels(np.zeros(10), _constant_classifier(4, 1))
         assert labels.tolist() == [1] * 7
-        assert probs.tolist() == [1.0] * 7
+        assert labels.dtype == np.int64
 
     def test_output_length(self):
-        clf = binary_window_classifier(5, lambda w: 0)
+        clf = _constant_classifier(5, 0)
         for total in (5, 9, 23):
-            labels, _ = sliding_labels(np.zeros(total), clf)
+            labels = sliding_labels(np.zeros(total), clf)
             assert labels.size == total - 5 + 1
 
     def test_huge_threshold_scan_is_silent_on_noise(self):
         rng = np.random.default_rng(0)
         clf = cusum_star_window_classifier(16, 50.0)
-        labels, _ = sliding_labels(rng.standard_normal(200), clf)
+        labels = sliding_labels(rng.standard_normal(200), clf)
         assert labels.sum() == 0
 
     def test_vectorised_path_matches_loop(self):
@@ -51,16 +54,15 @@ class TestSlidingLabels:
         series = rng.standard_normal(120)
         series[60:] += 3.0
         clf = cusum_star_window_classifier(16, 2.0)
-        fast, _ = sliding_labels(series, clf)
-        slow = np.array([cusum.cusum_star_classify(series[i:i + 16], 2.0)
-                         for i in range(series.size - 15)])
+        fast = sliding_labels(series, clf)
+        windows = np.lib.stride_tricks.sliding_window_view(series, 16)
+        slow = (cusum.cusum_star_statistic(windows)[0] > 2.0).astype(np.int64)
         np.testing.assert_array_equal(fast, slow)
 
 
 class TestLocalise:
     def test_all_zero_classifier_finds_nothing(self):
-        clf = binary_window_classifier(8, lambda w: 0)
-        result = localise(np.zeros(64), clf)
+        result = localise(np.zeros(64), _constant_classifier(8, 0))
         assert result.change_points == [] and result.segments == []
 
     def test_ideal_straddle_recovers_location(self):
@@ -73,7 +75,7 @@ class TestLocalise:
     def test_running_mean_range_and_maximality(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, 96)
-        clf = WindowClassifier(8, lambda s: (labels.copy(), labels.astype(float)))
+        clf = WindowClassifier(8, lambda s: labels.copy())
         result = localise(np.zeros(96 + 8 - 1), clf, gamma=0.5)
         assert np.all(result.running_mean >= 0) and np.all(result.running_mean <= 1)
         for s, e in result.segments:
@@ -103,7 +105,7 @@ class TestLocalise:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_input_validation(self):
-        clf = binary_window_classifier(16, lambda w: 0)
+        clf = _constant_classifier(16, 0)
         with pytest.raises(ValueError, match="length >= 32"):
             localise(np.zeros(20), clf)
         with pytest.raises(ValueError, match="gamma"):
@@ -130,11 +132,10 @@ class TestNetworkWindowClassifier:
         clf = network_window_classifier(embed_cusum(64, lam, "star"))
         assert clf.length == 64
         series, _ = gen_piecewise(600, [300], [0.0, 6.0], seed=7, min_spacing=128)
-        labels, probs = sliding_labels(series, clf)
-        direct = np.array([cusum.cusum_star_classify(series[i:i + 64], lam)
-                           for i in range(series.size - 63)])
+        labels = sliding_labels(series, clf)
+        windows = np.lib.stride_tricks.sliding_window_view(series, 64)
+        direct = (cusum.cusum_star_statistic(windows)[0] > lam).astype(np.int64)
         np.testing.assert_array_equal(labels, direct)
-        assert np.all((probs >= 0) & (probs <= 1))
 
     def test_preprocessed_window_length(self):
         from cpdlab.localise import network_window_classifier
@@ -147,5 +148,5 @@ class TestNetworkWindowClassifier:
         net = train(pre.apply(X), y, Architecture(64, (4,), 1), TrainConfig(epochs=2, seed=0))
         clf = network_window_classifier(net, pre)
         assert clf.length == 32
-        labels, _ = sliding_labels(rng.standard_normal(100), clf)
+        labels = sliding_labels(rng.standard_normal(100), clf)
         assert labels.size == 100 - 32 + 1

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdlab import cusum
 from cpdlab.network import (
@@ -25,6 +28,39 @@ from cpdlab.network import (
 )
 from cpdlab.network import _init_network
 from cpdlab.simulate import ScenarioSpec, gen_scenario
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+)
+STEPS = st.one_of(
+    st.sampled_from([("identity",), ("unit_scale",), ("square",), ("lag_product",)]),
+    st.tuples(st.just("truncate"),
+              st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+)
+
+
+@st.composite
+def networks(draw):
+    """A small random binary or multiclass network, its classes and a preprocessor."""
+    arch = Architecture(draw(st.integers(1, 5)),
+                        tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
+                        draw(st.sampled_from([1, 2, 3, 4])))
+    dims = arch.layer_dims
+    weights = [draw(arrays(np.float64, (dims[l + 1], dims[l]), elements=FINITE))
+               for l in range(len(dims) - 1)]
+    biases = [draw(arrays(np.float64, (d,), elements=FINITE)) for d in dims[1:-1]]
+    output_bias = draw(arrays(np.float64, (dims[-1],), elements=FINITE))
+    classes = None
+    if arch.output_dim > 1 and draw(st.booleans()):
+        classes = tuple(draw(st.lists(st.integers(-5, 20), min_size=dims[-1],
+                                      max_size=dims[-1], unique=True)))
+    net = Network(arch, weights, biases, output_bias, threshold=draw(FINITE),
+                  classes=classes)
+    channels = draw(st.lists(st.lists(STEPS, min_size=1, max_size=3).map(tuple),
+                             min_size=1, max_size=3))
+    return net, Preprocessor(tuple(channels))
 
 
 class TestUnitScale:
@@ -155,7 +191,7 @@ class TestEmbedCusum:
             stat, _ = cusum.cusum_statistic(x)
             if abs(stat - lam) <= 1e-9:
                 continue
-            assert forward(net, x)[1] == cusum.cusum_classify(x, lam)
+            assert forward(net, x)[1] == int(stat > lam)
 
     def test_star_equivalence_small(self):
         rng = np.random.default_rng(4)
@@ -166,7 +202,7 @@ class TestEmbedCusum:
             stat, _ = cusum.cusum_star_statistic(x)
             if abs(stat - lam) <= 1e-9:
                 continue
-            assert forward(net, x)[1] == cusum.cusum_star_classify(x, lam)
+            assert forward(net, x)[1] == int(stat > lam)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError, match="positive"):
@@ -325,6 +361,19 @@ class TestSerialisation:
         assert loaded.classes == net.classes
         for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
             np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(networks())
+    def test_roundtrip_property(self, drawn):
+        net, pre = drawn
+        loaded, pre2 = network_from_json(network_to_json(net, pre))
+        assert pre2 == pre
+        assert loaded.architecture == net.architecture
+        assert loaded.classes == net.classes
+        assert np.float64(loaded.threshold).tobytes() == np.float64(net.threshold).tobytes()
+        for a, b in zip(loaded.weights + loaded.biases + [loaded.output_bias],
+                        net.weights + net.biases + [net.output_bias]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_version_check(self):
         with pytest.raises(ValueError, match="schema version"):

@@ -65,25 +65,18 @@ class TestWilcoxonProperties:
 
 
 class TestWilcoxonClassify:
+    """The rank scan classifies a series as changed when ``statistic > threshold``."""
+
     def test_thresholds_around_example(self):
-        x = [0.0, 0.0, 1.0, 1.0]
-        assert robust.wilcoxon_classify(x, 0.3) == 0
-        assert robust.wilcoxon_classify(x, 0.2) == 1
+        stat, _ = robust.wilcoxon_statistic([0.0, 0.0, 1.0, 1.0])
+        assert not stat > 0.3
+        assert stat > 0.2
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(40)
-        previous = 1
-        for thr in np.linspace(0.01, 2.0, 25):
-            label = robust.wilcoxon_classify(x, thr)
-            assert label <= previous
-            previous = label
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError, match="positive"):
-            robust.wilcoxon_classify([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError, match="one-dimensional"):
-            robust.wilcoxon_classify(np.zeros((3, 4)), 0.5)
+        stats, _ = robust.wilcoxon_statistic(rng.standard_normal((5, 40)))
+        labels = stats[None, :] > np.linspace(0.01, 2.0, 25)[:, None]
+        assert np.all(labels[1:] <= labels[:-1])
 
 
 class TestZscoreTruncate:
