@@ -197,20 +197,24 @@ def snr(n: int, tau: int, mu_left: float, mu_right: float) -> float:
     return abs(mu_left - mu_right) * math.sqrt(tau * (n - tau)) / n
 
 
-def step_response(n: int, tau: int, delta: float = 1.0) -> np.ndarray:
+def step_response(n: int, tau, delta: float = 1.0) -> np.ndarray:
     """Noiseless scan response |v_i . mu| of a step of size ``delta`` at ``tau``.
 
     Closed form: the response rises like delta*(n-tau)*sqrt(i/(n(n-i)))
     up to the change and decays like delta*tau*sqrt((n-i)/(n i)) after it,
     peaking at i = tau with value delta*sqrt(tau*(n-tau)/n).  Entry ``i-1``
-    of the returned vector is the response at scan position ``i``.
+    of the returned vector is the response at scan position ``i``.  An
+    array of ``T`` change locations gives one response per row, shape
+    ``(T, n-1)``; a scalar ``tau`` gives shape ``(n-1,)``.
     """
-    if not 1 <= tau <= n - 1:
+    t = np.asarray(tau)
+    if np.any((t < 1) | (t > n - 1)):
         raise ValueError(f"tau must lie in [1, n-1], got tau={tau}, n={n}")
+    t = t[..., None]
     i = np.arange(1, n, dtype=np.float64)
-    rising = (n - tau) * np.sqrt(i / (n * (n - i)))
-    falling = tau * np.sqrt((n - i) / (n * i))
-    return abs(delta) * np.where(i <= tau, rising, falling)
+    rising = (n - t) * np.sqrt(i / (n * (n - i)))
+    falling = t * np.sqrt((n - i) / (n * i))
+    return abs(delta) * np.where(i <= t, rising, falling)
 
 
 def _check_snr_args(n: int, snr_bound: float) -> None:

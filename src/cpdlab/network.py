@@ -12,6 +12,14 @@ sum of hinges is positive precisely when some contrast exceeds the
 threshold, so the network and the thresholded scan agree on every
 input whose statistic is not exactly at the threshold.
 
+All parameters of a network live in one contiguous float64 vector,
+``Network.params``: every weight matrix in layer order, then every
+hidden bias, then the output bias, each flattened row-major.  The
+``weights``, ``biases`` and ``output_bias`` fields are reshaped views of
+that vector, and :func:`loss_and_gradient` returns its gradient as one
+vector in the same layout, so an optimiser step is a handful of
+element-wise passes over a single buffer.
+
 Training minimises the cross-entropy of a logistic (or softmax) link on
 the score with Adam; the hard threshold is evaluation-only since the
 0-1 loss has no usable gradient.  Given a seed, initialisation, batch
@@ -20,9 +28,10 @@ order and therefore the trained network are fully deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +86,36 @@ class Architecture:
         return (self.input_dim, *self.hidden, self.output_dim)
 
 
+@functools.cache
+def _layout(arch: Architecture) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
+    """Name, shape and flat-vector slice of each parameter array, in order."""
+    dims = arch.layer_dims
+    entries = [(f"weights[{l}]", (d_out, d_in))
+               for l, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))]
+    entries += [(f"biases[{l}]", (m,)) for l, m in enumerate(arch.hidden)]
+    entries.append(("output_bias", (arch.output_dim,)))
+    layout, stop = [], 0
+    for name, shape in entries:
+        start, stop = stop, stop + math.prod(shape)
+        layout.append((name, shape, slice(start, stop)))
+    return tuple(layout)
+
+
+def _split(arch: Architecture, flat: np.ndarray):
+    """Views of a flat parameter-layout vector as ``(weights, biases, output_bias)``."""
+    views = [flat[part].reshape(shape) for _, shape, part in _layout(arch)]
+    n_weights = arch.depth + 1
+    return views[:n_weights], views[n_weights:-1], views[-1]
+
+
+def _array_at(arch: Architecture, offset: int) -> str:
+    """Name of the parameter array that holds flat entry ``offset``."""
+    for name, _, part in _layout(arch):
+        if part.start <= offset < part.stop:
+            return name
+    raise IndexError("offset beyond the parameter vector")
+
+
 @dataclass(eq=False)
 class Network:
     """Weights and biases of one ReLU network plus its decision rule.
@@ -85,6 +124,12 @@ class Network:
     subtracted before the ReLU of hidden layer ``l+1``.  Binary networks
     (output width 1) decide ``score > threshold``; multiclass networks
     return ``classes[argmax score]`` with the smallest index on ties.
+
+    Construction copies the given arrays into ``params``, one C-contiguous
+    float64 vector (weights, then hidden biases, then output bias), and
+    rebinds ``weights``, ``biases`` and ``output_bias`` to reshaped views
+    of it.  Writing through a view therefore changes the network, while
+    the caller's original arrays are never shared.
     """
 
     architecture: Architecture
@@ -93,6 +138,7 @@ class Network:
     output_bias: np.ndarray
     threshold: float = 0.0
     classes: tuple[int, ...] | None = None
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.architecture.layer_dims
@@ -110,9 +156,11 @@ class Network:
                 raise ValueError(f"bias {l} has shape {b.shape}, expected ({dims[l + 1]},)")
         if self.output_bias.shape != (dims[-1],):
             raise ValueError(f"output bias has shape {self.output_bias.shape}")
-        for arr in (*self.weights, *self.biases, self.output_bias):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("network parameters contain non-finite values")
+        arrays = (*self.weights, *self.biases, self.output_bias)
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("network parameters contain non-finite values")
+        self.weights, self.biases, self.output_bias = _split(self.architecture, self.params)
         if not math.isfinite(self.threshold):
             raise ValueError(f"decision threshold must be finite, got {self.threshold!r}")
         if self.classes is not None and not self.is_binary and len(self.classes) != dims[-1]:
@@ -359,9 +407,11 @@ def loss_and_gradient(net: Network, X, y):
     """Cross-entropy loss of a batch and its exact parameter gradient.
 
     ``y`` holds 0/1 labels for binary networks or class indices
-    ``0..K-1`` for multiclass ones.  Returns ``(loss, (dW, db, d_ob))``
-    with arrays shaped like the corresponding parameters.  Duplicated
-    examples leave both loss and gradient unchanged (mean reduction).
+    ``0..K-1`` for multiclass ones.  Returns ``(loss, grad)``, where
+    ``grad`` is one new flat vector in the layout of ``net.params``; each
+    layer's gradient is written straight into its view of that vector.
+    Duplicated examples leave both loss and gradient unchanged (mean
+    reduction).  A non-finite loss raises :class:`TrainingError`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
@@ -376,19 +426,18 @@ def loss_and_gradient(net: Network, X, y):
     if not math.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss!r}; inputs or parameters diverged")
 
-    depth = net.architecture.depth
-    d_weights = [None] * len(net.weights)
-    d_biases = [None] * depth
-    d_weights[-1] = g.T @ activations[-1]
-    d_output_bias = -g.sum(axis=0)
+    grad = np.empty_like(net.params)
+    d_weights, d_biases, d_output_bias = _split(net.architecture, grad)
+    np.matmul(g.T, activations[-1], out=d_weights[-1])
+    np.negative(g.sum(axis=0), out=d_output_bias)
     delta = g @ net.weights[-1]
-    for l in range(depth, 0, -1):
+    for l in range(net.architecture.depth, 0, -1):
         delta = delta * (activations[l] > 0)
-        d_weights[l - 1] = delta.T @ activations[l - 1]
-        d_biases[l - 1] = -delta.sum(axis=0)
+        np.matmul(delta.T, activations[l - 1], out=d_weights[l - 1])
+        np.negative(delta.sum(axis=0), out=d_biases[l - 1])
         if l > 1:
             delta = delta @ net.weights[l - 1]
-    return loss, (d_weights, d_biases, d_output_bias)
+    return loss, grad
 
 
 def _init_network(arch: Architecture, rng: np.random.Generator) -> Network:
@@ -413,6 +462,11 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     Everything downstream of ``config.seed`` is deterministic: same
     inputs and seed give a bit-identical network.  Non-finite features
     are rejected with ``ValueError``.
+
+    Adam runs in place on the flat ``params`` vector of the network that
+    is returned.  A non-finite loss, or parameters that are non-finite at
+    the end of an epoch, raise :class:`TrainingError` naming the epoch,
+    the global step and the parameter array of the first non-finite entry.
     """
     X = np.atleast_2d(_finite_array(X))
     y = np.asarray(y)
@@ -441,16 +495,15 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
         raise ValueError("init network architecture does not match arch")
     rng = np.random.default_rng(config.seed)
     net = init if init is not None else _init_network(arch, rng)
-    params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
-    params.append(net.output_bias.copy())
-    n_weights = len(net.weights)
-    # The working network views the parameter arrays, so in-place Adam
-    # updates are visible to every later gradient evaluation.
-    current = Network(arch, params[:n_weights], params[n_weights:-1], params[-1],
-                      threshold=0.0, classes=classes)
-
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    # ``replace`` copies the starting parameters into a fresh vector; Adam
+    # updates it in place, which every view and later gradient sees.
+    current = replace(net, threshold=0.0, classes=classes)
+    params = current.params
+    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+    m_state = np.zeros_like(params)
+    v_state = np.zeros_like(params)
+    tmp = np.empty_like(params)
+    denom = np.empty_like(params)
     step = 0
     n_rows = X.shape[0]
     for epoch in range(config.epochs):
@@ -458,21 +511,38 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
         order = rng.permutation(n_rows)
         for start in range(0, n_rows, config.batch_size):
             batch = order[start:start + config.batch_size]
-            _, (d_w, d_b, d_ob) = loss_and_gradient(current, X[batch], targets[batch])
-            grads = list(d_w) + list(d_b) + [d_ob]
             step += 1
-            c1 = 1.0 - config.beta1**step
-            c2 = 1.0 - config.beta2**step
-            for p, g, m_vec, v_vec in zip(params, grads, m_state, v_state):
-                m_vec *= config.beta1
-                m_vec += (1.0 - config.beta1) * g
-                v_vec *= config.beta2
-                v_vec += (1.0 - config.beta2) * g * g
-                p -= lr * (m_vec / c1) / (np.sqrt(v_vec / c2) + config.adam_eps)
-        if not all(np.all(np.isfinite(p)) for p in params):
-            raise TrainingError(f"parameters diverged in epoch {epoch}")
-    return Network(arch, params[:n_weights], params[n_weights:-1], params[-1],
-                   threshold=0.0, classes=classes)
+            try:
+                _, g = loss_and_gradient(current, X[batch], targets[batch])
+            except TrainingError as exc:
+                raise _divergence(arch, params, epoch, step, str(exc)) from exc
+            c1 = 1.0 - b1**step
+            c2 = 1.0 - b2**step
+            m_state *= b1
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m_state += tmp
+            v_state *= b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v_state += tmp
+            np.divide(m_state, c1, out=tmp)
+            tmp *= lr
+            np.divide(v_state, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            tmp /= denom
+            params -= tmp
+        if not np.all(np.isfinite(params)):
+            raise _divergence(arch, params, epoch, step, "non-finite parameters")
+    return current
+
+
+def _divergence(arch: Architecture, params: np.ndarray, epoch: int, step: int,
+                cause: str) -> TrainingError:
+    """A :class:`TrainingError` naming the epoch, the global step and the first bad array."""
+    bad = np.flatnonzero(~np.isfinite(params))
+    where = f"; first non-finite entry in {_array_at(arch, int(bad[0]))}" if bad.size else ""
+    return TrainingError(f"training diverged in epoch {epoch}, step {step}: {cause}{where}")
 
 
 def _loss_only(net: Network, X, y) -> float:
@@ -498,10 +568,11 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y).reshape(-1)
 
-    biases = [b.copy() for b in net.biases]
-    net = replace(net, biases=biases)
+    # ``replace`` builds a network with its own parameter vector, so the
+    # bias shifts and perturbations below never reach the caller's network.
+    net = replace(net)
     a = X
-    for l, (w, b) in enumerate(zip(net.weights[:-1], biases)):
+    for w, b in zip(net.weights[:-1], net.biases):
         z = a @ w.T - b
         near = np.abs(z) < kink_margin
         if np.any(near):
@@ -509,23 +580,19 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
             z = a @ w.T - b
         a = np.maximum(z, 0.0)
 
-    _, (d_w, d_b, d_ob) = loss_and_gradient(net, X, y)
-    analytic = list(d_w) + list(d_b) + [d_ob]
-    params = list(net.weights) + list(net.biases) + [net.output_bias]
+    _, analytic = loss_and_gradient(net, X, y)
+    flat = net.params
     worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.reshape(-1)
-        g_flat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = _loss_only(net, X, y)
-            flat[i] = keep - step
-            down = _loss_only(net, X, y)
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * step)
-            denom = max(1.0, abs(g_flat[i]), abs(numeric))
-            worst = max(worst, abs(g_flat[i] - numeric) / denom)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        up = _loss_only(net, X, y)
+        flat[i] = keep - step
+        down = _loss_only(net, X, y)
+        flat[i] = keep
+        numeric = (up - down) / (2.0 * step)
+        denom = max(1.0, abs(analytic[i]), abs(numeric))
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 

@@ -243,6 +243,17 @@ class TestStepResponse:
         assert int(np.argmax(resp)) == 19
         assert resp[19] == pytest.approx(math.sqrt(50) * cusum.snr(50, 20, 0.0, 1.0))
 
+    def test_array_of_taus_stacks_scalar_rows(self):
+        n = 37
+        taus = np.arange(1, n)
+        resp = cusum.step_response(n, taus, -1.7)
+        assert resp.shape == (n - 1, n - 1)
+        expected = np.stack([cusum.step_response(n, int(t), -1.7) for t in taus])
+        assert resp.tobytes() == expected.tobytes()
+        assert cusum.step_response(n, 5).shape == (n - 1,)
+        with pytest.raises(ValueError, match="tau"):
+            cusum.step_response(n, np.array([3, n]))
+
     def test_near_change_grid_floor_small_lengths(self):
         # Any scan point within half the shorter segment keeps at least
         # sqrt(3)/3 of the peak response; exhaustive over small lengths.

@@ -26,7 +26,7 @@ from cpdlab.network import (
     train,
     unit_scale,
 )
-from cpdlab.network import _init_network
+from cpdlab.network import _array_at, _init_network
 from cpdlab.simulate import ScenarioSpec, gen_scenario
 
 
@@ -226,11 +226,11 @@ class TestLossAndGradient:
         net = _init_network(Architecture(6, (4,), 1), rng)
         X = rng.standard_normal((8, 6))
         y = rng.integers(0, 2, 8)
-        loss1, (dw1, db1, dob1) = loss_and_gradient(net, X, y)
-        loss2, (dw2, db2, dob2) = loss_and_gradient(net, np.vstack([X, X]), np.tile(y, 2))
+        loss1, grad1 = loss_and_gradient(net, X, y)
+        loss2, grad2 = loss_and_gradient(net, np.vstack([X, X]), np.tile(y, 2))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
-        for a, b in zip(dw1 + db1 + [dob1], dw2 + db2 + [dob2]):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        assert grad1.shape == grad2.shape == net.params.shape
+        np.testing.assert_allclose(grad1, grad2, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         net = _init_network(Architecture(3, (2,), 1), np.random.default_rng(6))
@@ -265,6 +265,17 @@ class TestGradCheck:
         x = rng.standard_normal(6)
         assert grad_check(net, x, np.array([2]), step=1e-5) <= 1e-4
 
+    def test_leaves_network_unchanged(self):
+        # A pre-activation exactly at the kink forces a bias shift, which
+        # must happen on grad_check's private copy only.
+        net = Network(Architecture(2, (2,), 1), [np.eye(2), np.ones((1, 2))],
+                      [np.array([1.0, 0.0])], np.zeros(1))
+        before = net.params.tobytes()
+        worst = grad_check(net, np.array([1.0, 0.5]), np.array([1.0]), step=1e-6,
+                           kink_margin=1e-5)
+        assert worst <= 1e-4
+        assert net.params.tobytes() == before
+
     def test_step_validation(self):
         net = _init_network(Architecture(3, (2,), 1), np.random.default_rng(10))
         with pytest.raises(ValueError, match="step"):
@@ -296,10 +307,33 @@ class TestTrain:
         rng = np.random.default_rng(13)
         X = 1e6 * rng.standard_normal((32, 4))
         y = rng.integers(0, 2, 32)
-        # An absurd learning rate overflows the scores within a few steps.
+        # An absurd learning rate overflows the scores within a few steps:
+        # the first step makes the parameters huge, the second overflows the
+        # loss.  One batch per epoch, so epoch e ends at global step e + 1.
         cfg = TrainConfig(epochs=5, learning_rate=1e155, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError):
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match=r"epoch 1, step 2: non-finite loss"):
             train(X, y, Architecture(4, (4,), 1), cfg)
+
+    def test_non_finite_parameters_name_their_array(self):
+        rng = np.random.default_rng(13)
+        X = 1e6 * rng.standard_normal((32, 4))
+        y = rng.integers(0, 2, 32)
+        # lr * gradient overflows in the first step, first in weights[0].
+        cfg = TrainConfig(epochs=5, learning_rate=1e308, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match=r"epoch 0, step 1: non-finite parameters; "
+                                     r"first non-finite entry in weights\[0\]$"):
+            train(X, y, Architecture(4, (4,), 1), cfg)
+
+    def test_flat_offsets_name_their_array(self):
+        # 3 -> 2 -> 1: weights[0] has 6 entries, weights[1] 2, biases[0] 2, output_bias 1.
+        arch = Architecture(3, (2,), 1)
+        names = [_array_at(arch, offset) for offset in range(11)]
+        assert names == ["weights[0]"] * 6 + ["weights[1]"] * 2 + ["biases[0]"] * 2 + [
+            "output_bias"]
+        with pytest.raises(IndexError):
+            _array_at(arch, 11)
 
     def test_multiclass_labels_roundtrip(self):
         rng = np.random.default_rng(14)
@@ -346,6 +380,82 @@ class TestTrain:
             mer_after = float(np.mean(after != test_set.labels))
             results.append(mer_after - mer_before)
         assert all(delta <= 0.02 for delta in results)
+
+
+def _reference_adam(X, y, arch, config):
+    """Reference Adam that updates each parameter array separately.
+
+    Labels must already be 0/1 (binary) or class indices ``0..K-1``.
+    """
+    rng = np.random.default_rng(config.seed)
+    net = _init_network(arch, rng)
+    params = [a.copy() for a in (*net.weights, *net.biases, net.output_bias)]
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    n_weights = len(net.weights)
+    step = 0
+    for epoch in range(config.epochs):
+        lr = config.learning_rate / (1.0 + config.lr_decay * epoch)
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            batch = order[start:start + config.batch_size]
+            current = Network(arch, params[:n_weights], params[n_weights:-1], params[-1])
+            _, flat = loss_and_gradient(current, X[batch], y[batch])
+            sizes = np.cumsum([p.size for p in params])[:-1]
+            grads = [g.reshape(p.shape) for g, p in zip(np.split(flat, sizes), params)]
+            step += 1
+            c1 = 1.0 - config.beta1**step
+            c2 = 1.0 - config.beta2**step
+            for p, g, m_vec, v_vec in zip(params, grads, m_state, v_state):
+                m_vec *= config.beta1
+                m_vec += (1.0 - config.beta1) * g
+                v_vec *= config.beta2
+                v_vec += (1.0 - config.beta2) * g * g
+                p -= lr * (m_vec / c1) / (np.sqrt(v_vec / c2) + config.adam_eps)
+    return params
+
+
+class TestFlatEngine:
+    @pytest.mark.parametrize("arch, n_classes", [
+        (Architecture(6, (5, 4), 1), 2),
+        (Architecture(5, (7,), 3), 3),
+    ])
+    def test_matches_per_array_adam_bit_for_bit(self, arch, n_classes):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((37, arch.input_dim))  # batches of 8, the last one of 5
+        y = np.arange(37) % n_classes
+        cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=0.01, lr_decay=0.5, seed=4)
+        net = train(X, y, arch, cfg)
+        expected = _reference_adam(X, y, arch, cfg)
+        got = [*net.weights, *net.biases, net.output_bias]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_parameters_are_views_of_one_vector(self):
+        rng = np.random.default_rng(18)
+        weights = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
+        biases = [rng.standard_normal(4)]
+        net = Network(Architecture(3, (4,), 2), weights, biases, np.zeros(2))
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+        assert net.params.size == 12 + 8 + 4 + 2
+        for a in (*net.weights, *net.biases, net.output_bias):
+            assert np.shares_memory(a, net.params)
+        assert not np.shares_memory(weights[0], net.params)
+        x = rng.standard_normal(3)
+        before, _ = forward(net, x)
+        net.weights[0][0, 0] += 1.0
+        after, _ = forward(net, x)
+        assert not np.array_equal(before, after)
+        loaded, _ = network_from_json(network_to_json(net))
+        assert loaded.params.tobytes() == net.params.tobytes()
+
+    def test_training_does_not_touch_init(self):
+        init = embed_cusum(8, 1.0)
+        before = init.params.tobytes()
+        rng = np.random.default_rng(19)
+        trained = train(rng.standard_normal((16, 8)), np.arange(16) % 2, init.architecture,
+                        TrainConfig(epochs=2), init=init)
+        assert init.params.tobytes() == before
+        assert trained.params.tobytes() != before
 
 
 class TestSerialisation:
