@@ -43,7 +43,6 @@ from .simulate import (
     MulticlassSpec,
     ScenarioSpec,
     ar1_noise,
-    gen_changetype,
     gen_multiclass,
     gen_piecewise,
     gen_scenario,

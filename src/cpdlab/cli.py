@@ -3,7 +3,8 @@
 Every command is a pure function of its arguments; the seed comes from
 ``--seed``, falling back to the ``CPD_SEED`` environment variable and
 then to 7.  Exit codes: 0 success, 1 runtime failure, 2 invalid
-configuration or arguments.
+configuration or arguments, which includes an option that the chosen use
+of its command does not read.
 """
 
 from __future__ import annotations
@@ -86,8 +87,37 @@ def _statistics(method: str, X: np.ndarray) -> np.ndarray:
     return scans[method](X)[0]
 
 
-def _check_threshold_arg(threshold) -> None:
-    """Reject a given ``--threshold`` that is not a finite positive number."""
+# The options each use of a command reads, keyed by (command, use); the
+# use is the method, the kind of dataset or how the threshold is set.
+# Any other option given exits 2, so an option that some use of its
+# command does not read defaults to None.  Every command reads --out,
+# and train and reproduce read every option they have.
+_READS = {key: set(names.split()) for key, names in {
+    ("simulate", "a scenario"): "seed scenario n size role",
+    ("simulate", "--multiclass"): "seed multiclass per_class",
+    ("detect", "a scan method"): "method threshold data",
+    ("detect", "--method net"): "method net data",
+    ("localise", "--threshold"): "data window threshold gamma",
+    ("localise", "--snr-bound"): "data window snr_bound gamma",
+    ("evaluate", "--threshold"): "seed method test threshold",
+    ("evaluate", "--train"): "seed method test train",
+    ("evaluate", "--method net"): "seed method test net",
+}.items()}
+
+
+def _given(args, *names) -> dict:
+    """The options among ``names`` that are set, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _check_options(args, use: str) -> None:
+    """Reject a given option that ``use`` does not read, and a bad ``--threshold``."""
+    unread = sorted(set(_given(args, *vars(args))) - _READS[args.command, use]
+                    - {"command", "func", "out"})
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise ValueError(f"{args.command} with {use} does not read {flags}")
+    threshold = getattr(args, "threshold", None)
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"--threshold must be a finite positive number, got {threshold}")
 
@@ -95,10 +125,12 @@ def _check_threshold_arg(threshold) -> None:
 def _cmd_simulate(args) -> int:
     seed = _seed(args)
     if args.multiclass:
-        spec = MulticlassSpec(args.multiclass, per_class=args.per_class)
+        _check_options(args, "--multiclass")
+        spec = MulticlassSpec(args.multiclass, **_given(args, "per_class"))
         dataset = gen_multiclass(spec, seed)
     else:
-        spec = ScenarioSpec(args.scenario, n=args.n, size=args.size, role=args.role)
+        _check_options(args, "a scenario")
+        spec = ScenarioSpec(**{"scenario": "S1", **_given(args, "scenario", "n", "size", "role")})
         dataset = gen_scenario(spec, seed)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} examples of length {dataset.n} to {args.out}")
@@ -128,16 +160,13 @@ def _net_forward(args, values):
     """``(scores, labels)`` of the ``--net`` network, whose own threshold decides."""
     if not args.net:
         raise ValueError("--net is required with method 'net'")
-    if args.threshold is not None:
-        raise ValueError("--threshold does not apply to method 'net'; "
-                         "the network's own threshold decides")
     with open(args.net, encoding="ascii") as fh:
         net, pre = network_from_json(fh.read())
     return forward(net, (pre or Preprocessor()).apply(values))
 
 
 def _cmd_detect(args) -> int:
-    _check_threshold_arg(args.threshold)
+    _check_options(args, "--method net" if args.method == "net" else "a scan method")
     dataset = load_dataset(args.data)
     if args.method == "net":
         scores, preds = _net_forward(args, dataset.values)
@@ -168,9 +197,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_localise(args) -> int:
-    _check_threshold_arg(args.threshold)
-    rows = load_values(args.data)
     threshold = args.threshold
+    _check_options(args, "--snr-bound" if threshold is None else "--threshold")
+    rows = load_values(args.data)
     if threshold is None:
         if args.snr_bound is None:
             raise ValueError("provide --threshold or --snr-bound")
@@ -196,8 +225,9 @@ def _cmd_localise(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_threshold_arg(args.threshold)
     seed = _seed(args)
+    _check_options(args, "--method net" if args.method == "net"
+                   else "--train" if args.threshold is None else "--threshold")
     test_set = load_dataset(args.test)
     if args.method == "net":
         _, preds = _net_forward(args, test_set.values)
@@ -222,11 +252,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     seed = _seed(args)
-    overrides = {}
-    if args.reps is not None:
-        if "reps" not in inspect.signature(RECIPES[args.recipe]).parameters:
-            raise ValueError(f"recipe {args.recipe!r} does not accept --reps")
-        overrides["reps"] = args.reps
+    overrides = _given(args, "reps")
+    if overrides and "reps" not in inspect.signature(RECIPES[args.recipe]).parameters:
+        raise ValueError(f"recipe {args.recipe!r} does not accept --reps")
     report = run_recipe(args.recipe, seed, **overrides)
     write_report(report, args.out)
     print(f"recipe {args.recipe} (seed {seed}) -> {args.out}")
@@ -241,18 +269,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (falls back to CPD_SEED, then 7)")
+        p.add_argument("--seed", type=int, help="random seed (falls back to CPD_SEED, then 7)")
 
     p = sub.add_parser("simulate", help="generate a labelled dataset CSV")
     add_common(p)
-    p.add_argument("--scenario", default="S1", help="S1, S1', S2 or S3")
-    p.add_argument("--multiclass", choices=("weak", "strong"), default=None,
+    p.add_argument("--scenario", help="S1 (default), S1', S2 or S3")
+    p.add_argument("--multiclass", choices=("weak", "strong"),
                    help="generate the five-class mixture instead of a scenario")
-    p.add_argument("--n", type=int, default=100, help="series length")
-    p.add_argument("--N", "--size", dest="size", type=int, default=700, help="dataset size")
-    p.add_argument("--per-class", type=int, default=500, help="multiclass examples per class")
-    p.add_argument("--role", choices=("train", "test"), default="train")
+    p.add_argument("--n", type=int, help="series length (default 100)")
+    p.add_argument("--N", "--size", dest="size", type=int, help="dataset size (default 700)")
+    p.add_argument("--per-class", type=int, help="multiclass examples per class (default 500)")
+    p.add_argument("--role", choices=("train", "test"), help="train (default) or test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -271,21 +298,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("detect", help="run a detector over a dataset CSV")
-    add_common(p)
     p.add_argument("--method", default="cusum",
                    choices=("cusum", "cusum-star", "wilcoxon", "variance", "slope", "net"))
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--net", default=None, help="network JSON (method 'net')")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--net", help="network JSON (method 'net')")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("localise", help="estimate change points in long series")
-    add_common(p)
     p.add_argument("--data", required=True, help="CSV of plain series rows")
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--snr-bound", type=float, default=None,
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--snr-bound", type=float,
                    help="derive the dyadic-scan threshold from an SNR floor")
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--out", required=True)
@@ -296,17 +321,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="cusum",
                    choices=("cusum", "cusum-star", "wilcoxon", "variance", "slope", "net"))
     p.add_argument("--test", required=True)
-    p.add_argument("--train", default=None, help="training CSV for threshold tuning")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--net", default=None)
+    p.add_argument("--train", help="training CSV for threshold tuning")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--net")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("reproduce", help="run a named experiment recipe")
     add_common(p)
     p.add_argument("recipe", choices=sorted(RECIPES))
-    p.add_argument("--reps", type=int, default=None,
-                   help="override replication count where applicable")
+    p.add_argument("--reps", type=int, help="override replication count where applicable")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reproduce)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cusum
 from .localise import cusum_star_window_classifier, localise
-from .simulate import _no_leftover, gen_piecewise
+from .simulate import gen_piecewise
 
 __all__ = [
     "EvalReport",
@@ -222,6 +222,11 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
         seed=seed,
         params=used,
     )
+
+
+def _no_leftover(params: dict) -> None:
+    if params:
+        raise ValueError(f"unknown parameters: {sorted(params)}")
 
 
 def _mean_change_signals(rng, count, n, target_snr):

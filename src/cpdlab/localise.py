@@ -139,7 +139,10 @@ def localise(series, classifier: WindowClassifier, gamma: float = 0.5) -> Locali
 
     Requires ``len(series) >= 2 * classifier.length`` so at least one
     full running mean exists.  ``gamma`` is the vote threshold in
-    (0, 1]; raising it can only remove estimates.
+    (0, 1].  Raising it only shrinks the stretches: for ``g1 < g2``
+    every segment at ``g2`` lies inside a segment at ``g1``.  It can
+    still add estimates, as a dip in the running mean between two
+    peaks splits one segment into two.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")

@@ -13,8 +13,9 @@ Change magnitudes scale with ``snr_base`` so detection stays neither
 trivial nor hopeless across change locations; test-role datasets widen
 the magnitude band.  The multiclass generator produces the five-way
 mixture (no change / mean change / variance change / pure trend / slope
-change) with parameters drawn from tabulated weak- or strong-signal
-ranges.
+change); its series length, change margin and parameter ranges are
+fixed tables, and only the signal regime (weak or strong) and the
+number of examples per class are chosen by the caller.
 
 Every generator is a pure function of its spec and seed.  Example ``k``
 of a dataset is generated from the sub-seed ``SeedSequence(seed,
@@ -28,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
     "ar1_noise",
     "gen_scenario",
     "regenerate_example",
-    "gen_changetype",
     "gen_multiclass",
     "gen_piecewise",
 ]
@@ -98,39 +99,22 @@ class ScenarioSpec:
 class MulticlassSpec:
     """Recipe for the five-class change-type mixture.
 
-    ``None`` range fields are filled from the tabulated values for
-    ``regime``; explicit ranges must keep lower < upper.
+    Only ``regime`` ('weak' or 'strong') and ``per_class`` are chosen;
+    the series length ``n``, the change margin and the parameter ranges
+    are fixed, the |difference| band coming from the regime's table.
     """
 
+    n: ClassVar[int] = 400
+    margin: ClassVar[int] = 40
+
     regime: str
-    n: int = 400
     per_class: int = 500
-    margin: int = 40
-    mean_bounds: tuple[float, float] = _MEAN_BOUNDS
-    sd_bounds: tuple[float, float] = _SD_BOUNDS
-    slope_bounds: tuple[float, float] = _SLOPE_BOUNDS
-    mean_diff: tuple[float, float] | None = None
-    sd_diff: tuple[float, float] | None = None
-    slope_diff: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.regime not in _DIFF_BANDS:
             raise ValueError(f"regime must be 'weak' or 'strong', got {self.regime!r}")
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
-        if not 1 <= self.margin < self.n // 2:
-            raise ValueError(f"margin must lie in [1, n/2), got {self.margin}")
-        bands = _DIFF_BANDS[self.regime]
-        for name, table_key in (("mean_diff", "mean"), ("sd_diff", "sd"), ("slope_diff", "slope")):
-            value = getattr(self, name) or bands[table_key]
-            lo, hi = value
-            if not lo < hi:
-                raise ValueError(f"{name} must satisfy lower < upper, got {value}")
-            object.__setattr__(self, name, (float(lo), float(hi)))
-        for name in ("mean_bounds", "sd_bounds", "slope_bounds"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} must satisfy lower < upper")
 
 
 @dataclass
@@ -235,6 +219,13 @@ def _scenario_example(spec: ScenarioSpec, seed: int, index: int, with_change: bo
     return values, int(with_change), meta
 
 
+def _shuffled(rows, labels, metas, seed: int) -> LabeledDataset:
+    """Dataset of the examples, shuffled with the sub-seed after the last example's."""
+    order = _example_rng(seed, len(rows)).permutation(len(rows))
+    return LabeledDataset(np.asarray(rows)[order], np.asarray(labels, dtype=np.int64)[order],
+                          [metas[i] for i in order])
+
+
 def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     """Generate a shuffled scenario dataset, half change and half no-change.
 
@@ -249,13 +240,7 @@ def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
         rows.append(values)
         labels.append(label)
         metas.append(meta)
-    order = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(spec.size,))
-    ).permutation(spec.size)
-    values = np.asarray(rows)[order]
-    labels = np.asarray(labels, dtype=np.int64)[order]
-    metas = [metas[i] for i in order]
-    return LabeledDataset(values, labels, metas)
+    return _shuffled(rows, labels, metas, seed)
 
 
 def regenerate_example(spec: ScenarioSpec, seed: int, index: int):
@@ -279,124 +264,12 @@ def _draw_in_band(rng, bounds, diff_band):
     )
 
 
-def _kinked_line(n: int, tau: int, slope_left: float, slope_right: float, intercept: float = 0.0):
-    """Continuous piecewise-linear mean: slope changes at tau, no jump."""
+def _kinked_line(n: int, tau: int, slope_left: float, slope_right: float):
+    """Continuous piecewise-linear mean through 0: slope changes at tau, no jump."""
     t = np.arange(1, n + 1, dtype=np.float64)
-    left = intercept + slope_left * t
-    right = intercept + (slope_left - slope_right) * tau + slope_right * t
+    left = slope_left * t
+    right = (slope_left - slope_right) * tau + slope_right * t
     return np.where(t <= tau, left, right)
-
-
-def _tau_range(kind: str, n: int, margin: int) -> tuple[int, int]:
-    if kind == "simultaneous":
-        return 40, n - 41
-    if kind == "ar_coeff":
-        return 10, min(89, n - 2)
-    return margin + 1, n - margin
-
-
-def gen_changetype(kind: str, params: dict | None = None, seed: int = 0):
-    """Generate one series of the requested change type.
-
-    ``params`` may fix any of the generating quantities; everything left
-    unset is drawn from the tabulated ranges for ``params['regime']``
-    (default ``"strong"``).  Supported kinds: ``mean``, ``slope``,
-    ``variance``, ``simultaneous`` (mean and variance jump together) and
-    ``ar_coeff`` (autoregression coefficient steps 0.2 -> 0.8).
-
-    Returns ``(series, metadata)`` where the metadata records every
-    resolved parameter.  Explicit values outside the tabulated ranges
-    raise ``ValueError``.
-    """
-    params = dict(params or {})
-    regime = params.pop("regime", "strong")
-    if regime not in _DIFF_BANDS:
-        raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
-    bands = _DIFF_BANDS[regime]
-    n = int(params.pop("n", 100 if kind == "ar_coeff" else 400))
-    margin = int(params.pop("margin", 40))
-    rng = np.random.default_rng(seed)
-
-    lo, hi = _tau_range(kind, n, margin)
-    if not 1 <= lo <= hi <= n - 1:
-        raise ValueError(f"no admissible change location for kind={kind!r}, n={n}")
-    tau = params.pop("tau", None)
-    tau = int(rng.integers(lo, hi + 1)) if tau is None else int(tau)
-    if not lo <= tau <= hi:
-        raise ValueError(f"tau={tau} outside admissible range [{lo}, {hi}]")
-
-    meta = {"kind": kind, "regime": regime, "n": n, "tau": tau, "seed": seed}
-
-    if kind == "mean":
-        pair = _resolve_pair(params, rng, "mu_left", "mu_right", _MEAN_BOUNDS, bands["mean"])
-        noise_sd = float(params.pop("noise_sd", MEAN_NOISE_SD))
-        _no_leftover(params)
-        signal = np.where(np.arange(1, n + 1) <= tau, pair[0], pair[1])
-        x = signal + noise_sd * rng.standard_normal(n)
-        meta.update(mu_left=pair[0], mu_right=pair[1], noise_sd=noise_sd,
-                    change=pair[0] != pair[1])
-    elif kind == "variance":
-        pair = _resolve_pair(params, rng, "sd_left", "sd_right", _SD_BOUNDS, bands["sd"])
-        _no_leftover(params)
-        sd = np.where(np.arange(1, n + 1) <= tau, pair[0], pair[1])
-        x = sd * rng.standard_normal(n)
-        meta.update(sd_left=pair[0], sd_right=pair[1], mean=0.0, change=pair[0] != pair[1])
-    elif kind == "slope":
-        pair = _resolve_pair(params, rng, "slope_left", "slope_right", _SLOPE_BOUNDS, bands["slope"])
-        noise_sd = float(params.pop("noise_sd", SLOPE_NOISE_SD))
-        _no_leftover(params)
-        x = _kinked_line(n, tau, *pair) + noise_sd * rng.standard_normal(n)
-        meta.update(slope_left=pair[0], slope_right=pair[1], intercept=0.0,
-                    noise_sd=noise_sd, change=pair[0] != pair[1])
-    elif kind == "simultaneous":
-        mu = _resolve_pair(params, rng, "mu_left", "mu_right", _MEAN_BOUNDS, bands["mean"])
-        sd = _resolve_pair(params, rng, "sd_left", "sd_right", _SD_BOUNDS, bands["sd"])
-        _no_leftover(params)
-        before = np.arange(1, n + 1) <= tau
-        x = np.where(before, mu[0], mu[1]) + np.where(before, sd[0], sd[1]) * rng.standard_normal(n)
-        meta.update(mu_left=mu[0], mu_right=mu[1], sd_left=sd[0], sd_right=sd[1],
-                    change=mu[0] != mu[1] or sd[0] != sd[1])
-    elif kind == "ar_coeff":
-        coef_left = float(params.pop("coef_left", 0.2))
-        coef_right = float(params.pop("coef_right", 0.8))
-        noise_sd = float(params.pop("noise_sd", 0.25))
-        _no_leftover(params)
-        if max(abs(coef_left), abs(coef_right)) >= 1.0:
-            raise ValueError("autoregression coefficients must have modulus < 1")
-        xi = noise_sd * rng.standard_normal(n)
-        coef = np.where(np.arange(1, n + 1) < tau, coef_left, coef_right)
-        x = ar1_noise(coef, xi)
-        meta.update(coef_left=coef_left, coef_right=coef_right, noise_sd=noise_sd,
-                    change=coef_left != coef_right)
-    else:
-        raise ValueError(f"unknown change type {kind!r}")
-    return x, meta
-
-
-def _resolve_pair(params, rng, left_key, right_key, bounds, diff_band):
-    """Draw or validate a before/after parameter pair.
-
-    Explicitly equal values are allowed and mean "no change"; unequal
-    explicit values must respect the regime's |difference| band.
-    """
-    left, right = params.pop(left_key, None), params.pop(right_key, None)
-    if left is None and right is None:
-        return _draw_in_band(rng, bounds, diff_band)
-    if left is None or right is None:
-        raise ValueError(f"{left_key} and {right_key} must be given together")
-    left, right = float(left), float(right)
-    lo, hi = bounds
-    if not (lo <= left <= hi and lo <= right <= hi):
-        raise ValueError(f"{left_key}/{right_key} must lie in [{lo}, {hi}]")
-    dlo, dhi = diff_band
-    if left != right and not dlo <= abs(left - right) <= dhi:
-        raise ValueError(f"|{left_key} - {right_key}| must lie in [{dlo}, {dhi}]")
-    return left, right
-
-
-def _no_leftover(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters: {sorted(params)}")
 
 
 def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
@@ -408,7 +281,7 @@ def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
     the |difference| constraints of the regime.
     """
     n, margin = spec.n, spec.margin
-    total = 5 * spec.per_class
+    bands = _DIFF_BANDS[spec.regime]
     t = np.arange(1, n + 1, dtype=np.float64)
     rows, labels, metas = [], [], []
     index = 0
@@ -420,36 +293,30 @@ def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
                 tau = int(rng.integers(margin + 1, n - margin + 1))
                 meta["tau"] = tau
             if label == 1:
-                mu = float(rng.uniform(*spec.mean_bounds))
+                mu = float(rng.uniform(*_MEAN_BOUNDS))
                 x = mu + MEAN_NOISE_SD * rng.standard_normal(n)
                 meta.update(mu=mu)
             elif label == 2:
-                mu1, mu2 = _draw_in_band(rng, spec.mean_bounds, spec.mean_diff)
+                mu1, mu2 = _draw_in_band(rng, _MEAN_BOUNDS, bands["mean"])
                 x = np.where(t <= tau, mu1, mu2) + MEAN_NOISE_SD * rng.standard_normal(n)
                 meta.update(mu_left=mu1, mu_right=mu2)
             elif label == 3:
-                sd1, sd2 = _draw_in_band(rng, spec.sd_bounds, spec.sd_diff)
+                sd1, sd2 = _draw_in_band(rng, _SD_BOUNDS, bands["sd"])
                 x = np.where(t <= tau, sd1, sd2) * rng.standard_normal(n)
                 meta.update(sd_left=sd1, sd_right=sd2)
             elif label == 4:
-                slope = float(rng.uniform(*spec.slope_bounds))
+                slope = float(rng.uniform(*_SLOPE_BOUNDS))
                 x = slope * t + SLOPE_NOISE_SD * rng.standard_normal(n)
                 meta.update(slope=slope)
             else:
-                s1, s2 = _draw_in_band(rng, spec.slope_bounds, spec.slope_diff)
+                s1, s2 = _draw_in_band(rng, _SLOPE_BOUNDS, bands["slope"])
                 x = _kinked_line(n, tau, s1, s2) + SLOPE_NOISE_SD * rng.standard_normal(n)
                 meta.update(slope_left=s1, slope_right=s2)
             rows.append(x)
             labels.append(label)
             metas.append(meta)
             index += 1
-    order = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(total,))
-    ).permutation(total)
-    values = np.asarray(rows)[order]
-    labels = np.asarray(labels, dtype=np.int64)[order]
-    metas = [metas[i] for i in order]
-    return LabeledDataset(values, labels, metas)
+    return _shuffled(rows, labels, metas, seed)
 
 
 def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0,

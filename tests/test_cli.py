@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cpdlab import cusum
+from cpdlab import cli, cusum
 from cpdlab.cli import main
 from cpdlab.dataio import load_dataset, save_values
 from cpdlab.network import (Architecture, Preprocessor, _init_network, embed_cusum,
@@ -147,10 +147,51 @@ def test_exit_codes(tmp_path):
     assert run(["evaluate", "--method", "net", "--net", net, "--threshold", 50,
                 "--test", data, "--out", out]) == 2
     assert not out.exists()
+    # an option the requested use of a command does not read -> 2, before any output
+    for train in (tmp_path / "nonexistent.csv", data):
+        assert run(["evaluate", "--method", "cusum", "--threshold", 3, "--train", train,
+                    "--test", data, "--out", out]) == 2
+    assert run(["localise", "--threshold", 3, "--snr-bound", 1.5, "--window", 4,
+                "--data", values, "--out", out]) == 2
+    for net_file in (tmp_path / "absent.json", net):
+        assert run(["detect", "--method", "cusum", "--threshold", 3, "--net", net_file,
+                    "--data", data, "--out", out]) == 2
+    assert run(["evaluate", "--method", "net", "--net", net, "--train", data,
+                "--test", data, "--out", out]) == 2
+    assert run(["simulate", "--multiclass", "strong", "--scenario", "S3", "--n", 50,
+                "--role", "test", "--out", out]) == 2
+    assert run(["simulate", "--scenario", "S3", "--per-class", 7, "--out", out]) == 2
+    assert run(["detect", "--method", "cusum", "--threshold", 3, "--seed", 1,
+                "--data", data, "--out", out]) == 2
+    assert not out.exists()
     # a non-finite optimiser constant -> 2, not a divergence failure
     for flag in ("--learning-rate", "--lr-decay"):
         assert run(["train", "--data", data, "--epochs", 1, flag, "nan",
                     "--out", tmp_path / "net.json"]) == 2
+
+
+def test_unread_option_is_named(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run(["simulate", "--multiclass", "weak", "--n", 50, "--role", "test",
+                "--out", out]) == 2
+    assert "simulate with --multiclass does not read --n, --role" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reads_table_covers_every_option():
+    # Every option of a command in the table is read by at least one use
+    # of it, and an option that some use does not read defaults to None,
+    # so that giving it can be told apart from leaving it out.
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert {command for command, _ in cli._READS} == set(commands) - {"train", "reproduce"}
+    for (command, use), reads in cli._READS.items():
+        options = [a for a in commands[command]._actions if a.dest not in ("help", "out")]
+        uses = [r for (name, _), r in cli._READS.items() if name == command]
+        assert set().union(*uses) == {a.dest for a in options}, command
+        for action in options:
+            if action.dest not in reads:
+                assert action.default is None, (command, use, action.dest)
 
 
 def test_reps_support_comes_from_the_recipe_signature(tmp_path, monkeypatch):

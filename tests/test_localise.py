@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpdlab import cusum
 from cpdlab.localise import (
@@ -24,6 +27,17 @@ def _straddle_classifier(n, tau):
         return labels
 
     return WindowClassifier(n, label_series)
+
+
+def _fixed_labels_classifier(n, labels):
+    """Give the windows of a series of length ``labels.size + n - 1`` these labels."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return WindowClassifier(n, lambda series: labels.copy())
+
+
+def _contained(inner, outer):
+    """Every segment of ``inner`` lies inside one segment of ``outer``."""
+    return all(any(s <= a and b <= e for s, e in outer) for a, b in inner)
 
 
 def _constant_classifier(n, label):
@@ -96,13 +110,31 @@ class TestLocalise:
             assert result.change_points == [tau]
 
     def test_monotone_gamma(self):
-        rng = np.random.default_rng(3)
         series, _ = gen_piecewise(1200, [400, 800], [0.0, 7.0, 0.5], noise_sd=1.0, seed=4)
         clf = cusum_star_window_classifier(64, cusum.snr_threshold_star(64, 1.5))
-        counts = []
-        for gamma in (0.2, 0.4, 0.6, 0.8, 1.0):
-            counts.append(len(localise(series, clf, gamma).change_points))
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        segments = [localise(series, clf, gamma).segments for gamma in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        assert all(_contained(high, low) for low, high in zip(segments, segments[1:]))
+
+    def test_raising_gamma_can_split_a_segment(self):
+        # The running mean dips to 0.5 between two peaks of 1: one segment
+        # at gamma 0.5, two at 0.75, so the estimate count rises.
+        labels = [int(c) for c in "0000" "11111" "00" "11111" "00000000"]
+        clf = _fixed_labels_classifier(4, labels)
+        series = np.zeros(len(labels) + 3)
+        low, high = localise(series, clf, 0.5), localise(series, clf, 0.75)
+        assert low.change_points == [8] and high.change_points == [8, 15]
+        assert _contained(high.segments, low.segments)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(arrays(np.int64, st.integers(9, 120), elements=st.integers(0, 1)),
+           st.integers(4, 8), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+    def test_segments_shrink_as_gamma_rises(self, labels, n, g1, g2):
+        # At least n + 1 labels, so the series holds 2n points.
+        clf = _fixed_labels_classifier(n, labels)
+        series = np.zeros(labels.size + n - 1)
+        low, high = sorted((g1, g2))
+        assert _contained(localise(series, clf, high).segments,
+                          localise(series, clf, low).segments)
 
     def test_input_validation(self):
         clf = _constant_classifier(16, 0)

@@ -1,5 +1,6 @@
 """Tests for the synthetic benchmark generators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,53 +83,77 @@ def test_ar1_noise_recursion_is_exact():
         assert eps[t] == rho[t] * eps[t - 1] + xi[t]
 
 
-class TestChangetypes:
-    def test_slope_mean_is_continuous(self):
-        x, meta = simulate.gen_changetype("slope", {"n": 200}, seed=4)
-        t = np.arange(1, 201)
-        tau, s1, s2 = meta["tau"], meta["slope_left"], meta["slope_right"]
-        left = s1 * tau
-        right = (s1 - s2) * tau + s2 * tau
-        assert left == right  # noiseless mean has no jump at the kink
+# LabeledDataset.fingerprint() of small datasets: any change to the
+# per-example draw order or the shuffle shows up here, as it would in
+# the table1 report.
+MULTICLASS_FINGERPRINTS = {
+    ("weak", 0): "82d9d9dd7d20b6c5ccb9bc9779d48f0f6c08fe6b22939d600ea6bb62a6634163",
+    ("weak", 1): "50530b61eda4027e955805a34f1fb98e190e923293f2320d9b1d6bea04ac6241",
+    ("strong", 0): "abc047e4ec21d019e7bc20aa5dbd525646dde86464ae57f2c1b7efcd77d0c2d8",
+    ("strong", 1): "81bdf1a9e68ee4f76e1e0bdf94bbd7a6ed5c89ef2c37585f2e647e773973ea0e",
+}
+SCENARIO_FINGERPRINTS = {
+    ("S1", "train"): "46e8f66f88240e8449a4a6fae0b534786a731d46c2d2301df0b315999fc9d8ae",
+    ("S1", "test"): "4d5cd7aeeabb3e645cfa0275f0d5d9165fa84320397032b221228413a4f0033c",
+    ("S1'", "train"): "3fefe096e4ae516234d5061401722e3d53dafe8cb811c81eaf802da970ba0968",
+    ("S1'", "test"): "760858f10a5a2cca3f4cbd6d6e8077a929bfeb2e8507c6ed884e72f084c86083",
+    ("S2", "train"): "5c7e3ff0eb80c25c59ecd0c74c5dd2ed0440482c57c8018bde4369e21b3b4159",
+    ("S2", "test"): "c94954353a798a99a5547504c56a11177f9e41a1e6ec67c6b124247a97ef267e",
+    ("S3", "train"): "a578723b6f17de5e93e322d947bc84254d7c8ab73b5f2687f3b78397534ab36d",
+    ("S3", "test"): "8430ab23bc41bfffc9557ce3f984e65c5a2686a1b0b91ab53ab1233b5bebc714",
+}
 
-    def test_equal_sds_mean_no_change(self):
-        x, meta = simulate.gen_changetype(
-            "variance", {"n": 200, "sd_left": 0.5, "sd_right": 0.5}, seed=5
-        )
-        assert meta["change"] is False
 
-    def test_strong_mean_regime_band(self):
-        for seed in range(30):
-            _, meta = simulate.gen_changetype("mean", {"regime": "strong"}, seed=seed)
-            assert 0.6 <= abs(meta["mu_left"] - meta["mu_right"]) <= 1.2
-            assert meta["noise_sd"] == 0.7
+@pytest.mark.parametrize("regime, seed", sorted(MULTICLASS_FINGERPRINTS))
+def test_multiclass_fingerprint_is_pinned(regime, seed):
+    ds = simulate.gen_multiclass(MulticlassSpec(regime, per_class=3), seed)
+    assert ds.fingerprint() == MULTICLASS_FINGERPRINTS[regime, seed]
 
-    def test_ar_coeff_steps(self):
-        x, meta = simulate.gen_changetype("ar_coeff", seed=6)
-        assert meta["n"] == 100
-        assert 10 <= meta["tau"] <= 89
-        assert (meta["coef_left"], meta["coef_right"]) == (0.2, 0.8)
 
-    def test_out_of_range_params_rejected(self):
-        with pytest.raises(ValueError, match="must lie in"):
-            simulate.gen_changetype("mean", {"mu_left": -9.0, "mu_right": 0.0}, seed=0)
-        with pytest.raises(ValueError, match="tau"):
-            simulate.gen_changetype("mean", {"tau": 5}, seed=0)
-        with pytest.raises(ValueError, match="unknown parameters"):
-            simulate.gen_changetype("mean", {"bogus": 1}, seed=0)
+@pytest.mark.parametrize("scenario, role", sorted(SCENARIO_FINGERPRINTS))
+def test_scenario_fingerprint_is_pinned(scenario, role):
+    ds = simulate.gen_scenario(ScenarioSpec(scenario, size=8, role=role), seed=0)
+    assert ds.fingerprint() == SCENARIO_FINGERPRINTS[scenario, role]
+
+
+# |before - after| band of each change class, per regime.
+CHANGE_BANDS = {
+    "weak": {2: (0.25, 0.5), 3: (0.12, 0.24), 5: (0.006, 0.012)},
+    "strong": {2: (0.6, 1.2), 3: (0.2, 0.4), 5: (0.015, 0.03)},
+}
+CHANGE_KEYS = {2: ("mu_left", "mu_right"), 3: ("sd_left", "sd_right"),
+               5: ("slope_left", "slope_right")}
 
 
 class TestMulticlass:
     def test_counts_taus_and_bands(self):
-        spec = MulticlassSpec("weak", per_class=12)
-        ds = simulate.gen_multiclass(spec, seed=7)
-        counts = {label: int(np.sum(ds.labels == label)) for label in range(1, 6)}
-        assert all(v == 12 for v in counts.values())
-        for meta in ds.metadata:
-            if meta["label"] in (2, 3, 5):
+        # Both regimes, and the mean, sd and slope band of each.
+        for seed, regime in enumerate(("weak", "strong"), start=7):
+            ds = simulate.gen_multiclass(MulticlassSpec(regime, per_class=12), seed=seed)
+            assert ds.n == MulticlassSpec.n == 400
+            counts = {label: int(np.sum(ds.labels == label)) for label in range(1, 6)}
+            assert all(v == 12 for v in counts.values())
+            for meta in ds.metadata:
+                label = meta["label"]
+                if label not in CHANGE_BANDS[regime]:
+                    assert meta["tau"] is None
+                    continue
                 assert 41 <= meta["tau"] <= 360
-            if meta["label"] == 2:
-                assert 0.25 <= abs(meta["mu_left"] - meta["mu_right"]) <= 0.5
+                left, right = (meta[key] for key in CHANGE_KEYS[label])
+                lo, hi = CHANGE_BANDS[regime][label]
+                assert lo <= abs(left - right) <= hi, (regime, meta)
+
+    def test_kinked_mean_is_continuous(self):
+        ds = simulate.gen_multiclass(MulticlassSpec("strong", per_class=5), seed=4)
+        kinks = [meta for meta in ds.metadata if meta["label"] == 5]
+        assert len(kinks) == 5
+        for meta in kinks:
+            tau, s1, s2 = meta["tau"], meta["slope_left"], meta["slope_right"]
+            steps = np.diff(simulate._kinked_line(ds.n, tau, s1, s2))
+            # Increment t -> t+1 is the left slope up to t = tau - 1 and the
+            # right slope from t = tau on: the slope switches, the mean does not jump.
+            np.testing.assert_allclose(steps[:tau - 1], s1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(steps[tau - 1:], s2, rtol=0, atol=1e-12)
 
     def test_determinism(self):
         spec = MulticlassSpec("strong", per_class=4)
@@ -140,6 +165,12 @@ class TestMulticlass:
     def test_invalid_regime(self):
         with pytest.raises(ValueError, match="regime"):
             MulticlassSpec("medium")
+
+    def test_only_regime_and_per_class_are_settable(self):
+        assert [f.name for f in dataclasses.fields(MulticlassSpec)] == ["regime", "per_class"]
+        assert (MulticlassSpec.n, MulticlassSpec.margin) == (400, 40)
+        with pytest.raises(TypeError):
+            MulticlassSpec("weak", n=50)
 
 
 class TestPiecewise:
