@@ -125,6 +125,25 @@ CHANGE_KEYS = {2: ("mu_left", "mu_right"), 3: ("sd_left", "sd_right"),
                5: ("slope_left", "slope_right")}
 
 
+class TestChangetypes:
+    def test_strong_mean_regime_band(self):
+        # Strong-regime mean changes: |mu_left - mu_right| in [0.6, 1.2],
+        # observed around the step with noise sd 0.7.
+        assert simulate.MEAN_NOISE_SD == 0.7
+        t = np.arange(1, MulticlassSpec.n + 1)
+        residuals = []
+        for seed in range(30):
+            ds = simulate.gen_multiclass(MulticlassSpec("strong", per_class=2), seed=seed)
+            for x, meta in zip(ds.values, ds.metadata):
+                if meta["label"] != 2:
+                    continue
+                assert 0.6 <= abs(meta["mu_left"] - meta["mu_right"]) <= 1.2
+                step = np.where(t <= meta["tau"], meta["mu_left"], meta["mu_right"])
+                residuals.append(x - step)
+        assert len(residuals) == 60
+        assert abs(np.std(np.concatenate(residuals)) - 0.7) < 0.02
+
+
 class TestMulticlass:
     def test_counts_taus_and_bands(self):
         # Both regimes, and the mean, sd and slope band of each.
