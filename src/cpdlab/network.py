@@ -24,6 +24,20 @@ Training minimises the cross-entropy of a logistic (or softmax) link on
 the score with Adam; the hard threshold is evaluation-only since the
 0-1 loss has no usable gradient.  Given a seed, initialisation, batch
 order and therefore the trained network are fully deterministic.
+
+An entry of Adam's first moment whose gradient stays exactly 0, for
+example a weight into a ReLU unit that never fires, shrinks by ``beta1``
+each step until it is subnormal, and a numpy pass over subnormal
+operands runs tens of times slower.  At the end of every epoch
+:func:`train` therefore sets each first-moment entry with
+``0 < |m| < 2**-1022`` to a zero of the same sign, the value further
+decay would reach.  No parameter can tell: such an entry moves its
+parameter by at most about ``2**-1022 * lr / (c1 * eps)``, about
+``2**-1002`` at the default constants, which rounds away unless the
+parameter itself is below about ``2**-949``.  It changes the next moment
+``beta1 * m + (1 - beta1) * g`` only if ``|g|`` is below about
+``2**-966``.  Neither happens in practice, so training results are the
+same bit for bit as without the flush.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64, 2**-1022
 
 
 class TrainingError(RuntimeError):
@@ -396,9 +411,10 @@ def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray):
     """Mean softmax cross-entropy (log-sum-exp stabilised) and gradient."""
     m = scores.shape[0]
     shift = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shift), axis=1))
+    grad = np.exp(shift)
+    log_z = np.log(np.sum(grad, axis=1))
     loss = float(np.mean(log_z - shift[np.arange(m), y_idx]))
-    grad = np.exp(shift) / np.exp(log_z)[:, None]
+    grad /= np.exp(log_z)[:, None]
     grad[np.arange(m), y_idx] -= 1.0
     return loss, grad / m
 
@@ -467,6 +483,9 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     is returned.  A non-finite loss, or parameters that are non-finite at
     the end of an epoch, raise :class:`TrainingError` naming the epoch,
     the global step and the parameter array of the first non-finite entry.
+    At the end of each epoch, first-moment entries that have decayed into
+    the subnormal range are set to signed zero; this keeps the Adam passes
+    at full speed and cannot move a parameter (see the module docstring).
     """
     X = np.atleast_2d(_finite_array(X))
     y = np.asarray(y)
@@ -534,6 +553,11 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
             params -= tmp
         if not np.all(np.isfinite(params)):
             raise _divergence(arch, params, epoch, step, "non-finite parameters")
+        # Moments whose gradient stays 0 decay into the subnormal range, where
+        # every pass over m_state runs tens of times slower.  Zero them with
+        # their sign; the module docstring says why no parameter can tell.
+        np.abs(m_state, out=tmp)
+        np.multiply(m_state, 0.0, out=m_state, where=tmp < _TINY)
     return current
 
 
@@ -557,11 +581,16 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
     """Largest deviation of the analytic gradient from central differences.
 
     Deviations are measured relative to ``max(1, |analytic|, |numeric|)``
-    so near-zero entries are compared on an absolute scale.  Before
-    checking, any hidden pre-activation within ``kink_margin`` of the
-    ReLU kink is moved off it by shifting the corresponding bias, since
-    a central difference across the kink measures the wrong one-sided
-    slope.
+    so near-zero entries are compared on an absolute scale.  A central
+    difference across a ReLU kink measures neither one-sided slope, so
+    before checking, every hidden pre-activation is moved off the kink by
+    raising it through its bias until it is at least ``kink_margin +
+    step * s`` from zero.  Here ``s`` bounds how far one pre-activation
+    of that layer can move per unit change of any single parameter: the
+    largest of 1 (a bias), the largest input magnitude of the layer (a
+    weight of the layer) and the largest absolute row sum of the layer's
+    weights times the previous layer's ``s`` (a parameter upstream).  No
+    perturbation of ``±step`` then crosses a kink.
     """
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
@@ -572,11 +601,20 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
     # bias shifts and perturbations below never reach the caller's network.
     net = replace(net)
     a = X
+    reach = 0.0
     for w, b in zip(net.weights[:-1], net.biases):
+        reach = max(1.0, float(np.max(np.abs(a))),
+                    float(np.max(np.abs(w).sum(axis=1))) * reach)
+        band = kink_margin + step * reach
         z = a @ w.T - b
-        near = np.abs(z) < kink_margin
-        if np.any(near):
-            b[np.any(near, axis=0)] -= 2.0 * kink_margin
+        # Raising a unit lifts all its rows, so a row below the band can land
+        # in it.  Each round moves a near row of every raised unit past the
+        # band for good, so one round per row suffices.
+        for _ in range(len(X)):
+            near = np.abs(z) < band
+            if not np.any(near):
+                break
+            b[np.any(near, axis=0)] -= 2.0 * band
             z = a @ w.T - b
         a = np.maximum(z, 0.0)
 

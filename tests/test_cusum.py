@@ -13,6 +13,10 @@ from cpdlab.localise import cusum_star_window_classifier
 from cpdlab.network import embed_cusum
 
 
+VALUES = st.floats(-1e6, 1e6)
+SCALARS = st.floats(-1e3, 1e3)
+
+
 class TestBasis:
     def test_n2_contrast(self):
         basis = cusum.cusum_basis(2)
@@ -76,6 +80,26 @@ class TestTransform:
             np.testing.assert_allclose(
                 cusum.cusum_transform(x + c), cusum.cusum_transform(x), atol=1e-12
             )
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(2, 200).flatmap(lambda n: arrays(np.float64, (2, n), elements=VALUES)),
+           SCALARS, SCALARS)
+    def test_linearity_and_shift_invariance_property(self, xy, a, c):
+        x, y = xy
+        n = x.size
+        transform = cusum.cusum_transform
+
+        def close(got, want, scale):
+            # Each entry is a weighted difference of prefix sums with weights
+            # at most 1, so rounding moves it by about n * eps * sum|input|,
+            # and underflow by a few subnormal units per operation.
+            info = np.finfo(np.float64)
+            tol = 8 * n * (info.eps * scale + info.smallest_subnormal)
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+        close(transform(x + y), transform(x) + transform(y), np.sum(np.abs(x) + np.abs(y)))
+        close(transform(a * x), a * transform(x), abs(a) * np.sum(np.abs(x)))
+        close(transform(x + c), transform(x), np.sum(np.abs(x) + abs(c)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -276,6 +276,28 @@ class TestGradCheck:
         assert worst <= 1e-4
         assert net.params.tobytes() == before
 
+    @pytest.mark.parametrize("net, X, y", [
+        # z = [0, 0.5]: the default step of 1e-5 moves unit 0's pre-activation
+        # by 1e-5, so the guard band must be wider than that.
+        (Network(Architecture(2, (2,), 1), [np.eye(2), np.ones((1, 2))],
+                 [np.array([1.0, 0.0])], np.zeros(1)),
+         np.array([1.0, 0.5]), np.array([1.0])),
+        # a1 = [2, 1.5] is far from its kinks; the second layer's first
+        # pre-activation is 2 - 1.5 - 0.5 = 0, and a first-layer weight
+        # perturbed by 1e-5 moves it by up to 2e-5.
+        (Network(Architecture(2, (2, 2), 1),
+                 [np.eye(2), np.array([[1.0, -1.0], [1.0, 1.0]]), np.ones((1, 2))],
+                 [np.array([-1.0, -1.0]), np.array([0.5, 0.0])], np.zeros(1)),
+         np.array([1.0, 0.5]), np.array([1.0])),
+        # Row 0 sits on the kink; shifting the bias once lifts row 1, which
+        # starts just below the band, into it, so a second shift is needed.
+        (Network(Architecture(1, (1,), 1), [np.ones((1, 1)), np.ones((1, 1))],
+                 [np.array([1.0])], np.zeros(1)),
+         np.array([[1.0], [1.0 - 1.5e-5]]), np.array([1.0, 0.0])),
+    ], ids=["first-layer", "second-layer", "lifted-row"])
+    def test_kink_at_default_step(self, net, X, y):
+        assert grad_check(net, X, y) <= 1e-4
+
     def test_step_validation(self):
         net = _init_network(Architecture(3, (2,), 1), np.random.default_rng(10))
         with pytest.raises(ValueError, match="step"):
@@ -382,10 +404,14 @@ class TestTrain:
         assert all(delta <= 0.02 for delta in results)
 
 
-def _reference_adam(X, y, arch, config):
+def _reference_adam(X, y, arch, config, return_m=False):
     """Reference Adam that updates each parameter array separately.
 
     Labels must already be 0/1 (binary) or class indices ``0..K-1``.
+    It never touches its first moment outside the update, so subnormal
+    entries stay subnormal until they decay to zero.  With ``return_m``
+    it also returns the first moment at the end of each epoch, one flat
+    vector per epoch.
     """
     rng = np.random.default_rng(config.seed)
     net = _init_network(arch, rng)
@@ -394,6 +420,7 @@ def _reference_adam(X, y, arch, config):
     v_state = [np.zeros_like(p) for p in params]
     n_weights = len(net.weights)
     step = 0
+    m_ends = []
     for epoch in range(config.epochs):
         lr = config.learning_rate / (1.0 + config.lr_decay * epoch)
         order = rng.permutation(X.shape[0])
@@ -412,7 +439,8 @@ def _reference_adam(X, y, arch, config):
                 v_vec *= config.beta2
                 v_vec += (1.0 - config.beta2) * g * g
                 p -= lr * (m_vec / c1) / (np.sqrt(v_vec / c2) + config.adam_eps)
-    return params
+        m_ends.append(np.concatenate([m_vec.ravel() for m_vec in m_state]))
+    return (params, m_ends) if return_m else params
 
 
 class TestFlatEngine:
@@ -427,6 +455,27 @@ class TestFlatEngine:
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=0.01, lr_decay=0.5, seed=4)
         net = train(X, y, arch, cfg)
         expected = _reference_adam(X, y, arch, cfg)
+        got = [*net.weights, *net.biases, net.output_bias]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_first_moment_flush_is_exact(self):
+        # Input j is nonzero only in row j, so the first moment of every
+        # weight out of input j decays by beta1 = 0.01 on each step after row
+        # j's batch: about 154 steps take it below 2**-1022 and a few more to
+        # zero.  With 200 rows of batch size 1, the weights of the inputs
+        # whose row came about 155 steps before an epoch's end are subnormal
+        # there, and train() flushes them while the reference lets them decay.
+        n = 200
+        rng = np.random.default_rng(20)
+        X = np.diag(rng.uniform(0.5, 2.0, n))
+        y = rng.integers(0, 2, n)
+        arch = Architecture(n, (4,), 1)
+        cfg = TrainConfig(epochs=4, batch_size=1, learning_rate=0.01, beta1=0.01, seed=5)
+        net = train(X, y, arch, cfg)
+        expected, m_ends = _reference_adam(X, y, arch, cfg, return_m=True)
+        tiny = np.finfo(np.float64).tiny
+        flushed = [int(np.sum((m != 0) & (np.abs(m) < tiny))) for m in m_ends[:-1]]
+        assert min(flushed) > 0, flushed
         got = [*net.weights, *net.biases, net.output_bias]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
