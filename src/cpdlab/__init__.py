@@ -81,6 +81,8 @@ from .evaluate import (
     localisation_rmse,
     mer_from_predictions,
     monte_carlo_bound_check,
+    scan_report,
+    scan_statistics,
     tune_threshold,
 )
 from .dataio import load_dataset, load_values, save_dataset, save_values, write_report

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import cusum, glr
+from . import cusum
 from .dataio import (
     load_dataset,
     load_values,
@@ -25,7 +25,7 @@ from .dataio import (
     save_values,
     write_report,
 )
-from .evaluate import mer_from_predictions, tune_threshold
+from .evaluate import mer_from_predictions, scan_report, scan_statistics
 from .localise import cusum_star_window_classifier, localise
 from .network import (
     Architecture,
@@ -37,7 +37,7 @@ from .network import (
     train,
 )
 from .recipes import RECIPES, run_recipe
-from .robust import wilcoxon_statistic
+from .robust import wilcoxon_statistic  # noqa: F401  (perfbench's tracer test wraps it here)
 from .simulate import MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
 
 __all__ = ["main"]
@@ -75,16 +75,6 @@ def _parse_preprocess(text: str) -> Preprocessor:
                 steps.append((item,))
         channels.append(tuple(steps))
     return Preprocessor(tuple(channels))
-
-
-def _statistics(method: str, X: np.ndarray) -> np.ndarray:
-    """Scan statistic of every row of ``X`` for a scan ``method``."""
-    scans = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
-             "wilcoxon": wilcoxon_statistic, "variance": glr.lr_variance_scan,
-             "slope": glr.lr_slope_scan}
-    if method not in scans:
-        raise ValueError(f"unknown method {method!r}")
-    return scans[method](X)[0]
 
 
 # The options each use of a command reads, keyed by (command, use); the
@@ -174,7 +164,7 @@ def _cmd_detect(args) -> int:
     else:
         if args.threshold is None:
             raise ValueError("--threshold is required for scan methods")
-        stats = _statistics(args.method, dataset.values)
+        stats = scan_statistics(args.method, dataset.values)
         preds = (stats > args.threshold).astype(np.int64)
     report = mer_from_predictions(dataset.labels, preds, threshold=args.threshold,
                                   fingerprint=dataset.fingerprint())
@@ -231,19 +221,14 @@ def _cmd_evaluate(args) -> int:
     test_set = load_dataset(args.test)
     if args.method == "net":
         _, preds = _net_forward(args, test_set.values)
-        threshold = None
+        report = mer_from_predictions(test_set.labels, preds, seed=seed,
+                                      fingerprint=test_set.fingerprint())
     else:
-        threshold = args.threshold
-        if threshold is None:
-            if not args.train:
-                raise ValueError("provide --threshold or --train data to tune on")
-            train_set = load_dataset(args.train)
-            threshold = tune_threshold(_statistics(args.method, train_set.values),
-                                       train_set.labels)
-        stats = _statistics(args.method, test_set.values)
-        preds = (stats > threshold).astype(np.int64)
-    report = mer_from_predictions(test_set.labels, preds, threshold=threshold,
-                                  seed=seed, fingerprint=test_set.fingerprint())
+        if args.threshold is None and not args.train:
+            raise ValueError("provide --threshold or --train data to tune on")
+        train_set = load_dataset(args.train) if args.threshold is None else None
+        report = scan_report(args.method, train_set, test_set, threshold=args.threshold,
+                             seed=seed)
     write_report({"command": "evaluate", "method": args.method,
                   "report": report.to_jsonable()}, args.out)
     print(f"MER {report.mer:.4f} on {report.size} examples -> {args.out}")

@@ -1,5 +1,8 @@
-"""Misclassification scoring, threshold tuning and Monte-Carlo bound checks.
+"""Scan scoring, threshold tuning and Monte-Carlo bound checks.
 
+:func:`scan_statistics` maps a scan method name to its batch kernel, and
+:func:`scan_report` is the one tune-and-score path of every scan: tune
+on training draws unless a threshold is given, then score the test draws.
 Every report carries the seed and a dataset fingerprint so that any
 number appearing anywhere downstream can be regenerated bit-exactly.
 Monte-Carlo checks compare an empirical rate against a closed-form
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import cusum
+from . import cusum, glr, robust
 from .localise import cusum_star_window_classifier, localise
 from .simulate import gen_piecewise
 
@@ -25,6 +28,8 @@ __all__ = [
     "LocalisationErrorReport",
     "mer_from_predictions",
     "tune_threshold",
+    "scan_statistics",
+    "scan_report",
     "monte_carlo_bound_check",
     "localisation_rmse",
     "batch_cusum_statistics",
@@ -111,6 +116,34 @@ def batch_cusum_statistics(X: np.ndarray) -> np.ndarray:
     return cusum.cusum_statistic(X)[0]
 
 
+def scan_statistics(method: str, X: np.ndarray) -> np.ndarray:
+    """Scan statistic of every row of ``X`` for a scan ``method``.
+
+    The table is built on each call, so that it holds whatever kernel
+    the modules bind at that moment, a traced wrapper included.
+    """
+    scans = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
+             "wilcoxon": robust.wilcoxon_statistic, "variance": glr.lr_variance_scan,
+             "slope": glr.lr_slope_scan}
+    if method not in scans:
+        raise ValueError(f"unknown method {method!r}")
+    return scans[method](X)[0]
+
+
+def scan_report(method: str, train_set, test_set, *, threshold: float | None = None,
+                seed: int | None = None) -> EvalReport:
+    """Score the decisions ``statistic > threshold`` of a scan on ``test_set``.
+
+    The threshold is tuned on the labelled ``train_set`` unless one is
+    given, in which case ``train_set`` is not read.
+    """
+    if threshold is None:
+        threshold = tune_threshold(scan_statistics(method, train_set.values), train_set.labels)
+    predictions = (scan_statistics(method, test_set.values) > threshold).astype(np.int64)
+    return mer_from_predictions(test_set.labels, predictions, threshold=threshold, seed=seed,
+                                fingerprint=test_set.fingerprint())
+
+
 @dataclass
 class BoundCheck:
     """Outcome of one Monte-Carlo comparison against a closed-form bound."""
@@ -126,10 +159,6 @@ class BoundCheck:
 
     def to_jsonable(self) -> dict:
         return asdict(self)
-
-
-def _binomial_slack(bound: float, reps: int) -> float:
-    return 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / reps)
 
 
 def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 20000,
@@ -157,61 +186,32 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
         the requirement is a success-frequency floor rather than a
         closed-form tail bound.
 
-    Pass criterion: ``empirical <= bound + 3 * sqrt(bound(1-bound)/reps)``
-    (slack 0 for ``localisation``).
+    ``params`` sets the keyword arguments of the kind's check, whose
+    defaults apply to the rest; a name the check does not take raises
+    ``ValueError``.  Pass criterion:
+    ``empirical <= bound + 3 * sqrt(bound(1-bound)/reps)`` (slack 0 for
+    ``localisation``).
     """
-    params = dict(params or {})
+    params = params or {}
     # The binomial-slack checks need enough replications for the 3-sigma
     # slack to be meaningful; the localisation success-floor experiment
     # is specified at 500 replications.
     floor = 100 if kind == "localisation" else 1000
     if reps < floor:
         raise ValueError(f"need at least {floor} replications, got {reps}")
-    rng = np.random.default_rng(seed)
-
-    if kind == "null_rate":
-        n = int(params.pop("n", 100))
-        eps = float(params.pop("eps", 0.05))
-        _no_leftover(params)
-        threshold = cusum.null_threshold(n, eps)
-        stats = batch_cusum_statistics(rng.standard_normal((reps, n)))
-        empirical = float(np.mean(stats > threshold))
-        bound, slack = eps, _binomial_slack(eps, reps)
-        used = {"n": n, "eps": eps, "threshold": threshold}
-    elif kind == "detection_miss":
-        n = int(params.pop("n", 100))
-        eps = float(params.pop("eps", 0.05))
-        mult = float(params.pop("snr_multiplier", 1.05))
-        _no_leftover(params)
-        threshold = cusum.null_threshold(n, eps)
-        target_snr = mult * math.sqrt(8.0 * math.log(n / eps) / n)
-        stats = batch_cusum_statistics(_mean_change_draws(rng, reps, n, target_snr))
-        empirical = float(np.mean(stats <= threshold))
-        bound, slack = eps, _binomial_slack(eps, reps)
-        used = {"n": n, "eps": eps, "snr_multiplier": mult, "threshold": threshold}
-    elif kind == "snr_risk":
-        n = int(params.pop("n", 100))
-        snr_bound = float(params.pop("snr_bound", 0.8))
-        mult = float(params.pop("snr_multiplier", 1.05))
-        frac = float(params.pop("change_fraction", 0.5))
-        _no_leftover(params)
-        threshold = cusum.snr_threshold(n, snr_bound)
-        labels = (rng.random(reps) < frac).astype(np.int64)
-        X = rng.standard_normal((reps, n))
-        changed = np.flatnonzero(labels)
-        X[changed] += _mean_change_signals(rng, changed.size, n, mult * snr_bound)
-        stats = batch_cusum_statistics(X)
-        empirical = float(np.mean((stats > threshold).astype(np.int64) != labels))
-        bound = cusum.misclassification_bound(n, snr_bound)
-        slack = _binomial_slack(bound, reps)
-        used = {"n": n, "snr_bound": snr_bound, "snr_multiplier": mult,
-                "change_fraction": frac, "threshold": threshold}
-    elif kind == "localisation":
-        empirical, bound, used = _localisation_failure_rate(rng, reps, params)
-        slack = 0.0
-    else:
+    checks = {"null_rate": _null_rate, "detection_miss": _detection_miss,
+              "snr_risk": _snr_risk, "localisation": _localisation_failure_rate}
+    if kind not in checks:
         raise ValueError(f"unknown bound check kind {kind!r}")
-
+    defaults = checks[kind].__kwdefaults__
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameters: {unknown}")
+    # A given value takes the type of its parameter's default: int, float or tuple.
+    params = {name: type(defaults[name])(value) for name, value in params.items()}
+    empirical, bound, used = checks[kind](np.random.default_rng(seed), reps, **params)
+    slack = (0.0 if kind == "localisation"
+             else 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / reps))
     return BoundCheck(
         kind=kind,
         empirical=empirical,
@@ -224,9 +224,37 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
     )
 
 
-def _no_leftover(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters: {sorted(params)}")
+# Each check returns (empirical rate, bound, parameters used).
+
+def _null_rate(rng, reps, /, *, n=100, eps=0.05):
+    threshold = cusum.null_threshold(n, eps)
+    stats = batch_cusum_statistics(rng.standard_normal((reps, n)))
+    empirical = float(np.mean(stats > threshold))
+    return empirical, eps, {"n": n, "eps": eps, "threshold": threshold}
+
+
+def _detection_miss(rng, reps, /, *, n=100, eps=0.05, snr_multiplier=1.05):
+    threshold = cusum.null_threshold(n, eps)
+    target_snr = snr_multiplier * math.sqrt(8.0 * math.log(n / eps) / n)
+    X = rng.standard_normal((reps, n)) + _mean_change_signals(rng, reps, n, target_snr)
+    stats = batch_cusum_statistics(X)
+    empirical = float(np.mean(stats <= threshold))
+    return empirical, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
+                            "threshold": threshold}
+
+
+def _snr_risk(rng, reps, /, *, n=100, snr_bound=0.8, snr_multiplier=1.05,
+              change_fraction=0.5):
+    threshold = cusum.snr_threshold(n, snr_bound)
+    labels = (rng.random(reps) < change_fraction).astype(np.int64)
+    X = rng.standard_normal((reps, n))
+    changed = np.flatnonzero(labels)
+    X[changed] += _mean_change_signals(rng, changed.size, n, snr_multiplier * snr_bound)
+    stats = batch_cusum_statistics(X)
+    empirical = float(np.mean((stats > threshold).astype(np.int64) != labels))
+    used = {"n": n, "snr_bound": snr_bound, "snr_multiplier": snr_multiplier,
+            "change_fraction": change_fraction, "threshold": threshold}
+    return empirical, cusum.misclassification_bound(n, snr_bound), used
 
 
 def _mean_change_signals(rng, count, n, target_snr):
@@ -238,22 +266,9 @@ def _mean_change_signals(rng, count, n, target_snr):
     return (np.arange(n)[None, :] >= taus[:, None]) * (signs * deltas)[:, None]
 
 
-def _mean_change_draws(rng, reps, n, target_snr):
-    X = rng.standard_normal((reps, n))
-    return X + _mean_change_signals(rng, reps, n, target_snr)
-
-
-def _localisation_failure_rate(rng, reps, params):
-    window = int(params.pop("window", 128))
-    length = int(params.pop("length", 3500))
-    taus = tuple(params.pop("taus", (990, 1691, 2733)))
-    means = tuple(params.pop("means", (0.0, 11.0, -1.0, 12.0)))
-    snr_bound = float(params.pop("snr_bound", 1.8))
-    gamma = float(params.pop("gamma", 0.5))
-    noise_sd = float(params.pop("noise_sd", 1.0))
-    failure_bound = float(params.pop("failure_bound", 0.05))
-    _no_leftover(params)
-
+def _localisation_failure_rate(rng, reps, /, *, window=128, length=3500,
+                               taus=(990, 1691, 2733), means=(0.0, 11.0, -1.0, 12.0),
+                               snr_bound=1.8, gamma=0.5, noise_sd=1.0, failure_bound=0.05):
     jumps = np.abs(np.diff(np.asarray(means)))
     if np.any(jumps <= 2.0 * math.sqrt(2.0) * snr_bound):
         raise ValueError("every jump must exceed 2*sqrt(2)*snr_bound")

@@ -152,19 +152,12 @@ def localise(series, classifier: WindowClassifier, gamma: float = 0.5) -> Locali
     window = np.ones(n) / n
     running = np.convolve(labels.astype(np.float64), window, mode="valid")
 
-    hot = running >= gamma
-    change_points: list[int] = []
-    segments: list[tuple[int, int]] = []
-    j = 0
-    while j < hot.size:
-        if not hot[j]:
-            j += 1
-            continue
-        start = j
-        while j < hot.size and hot[j]:
-            j += 1
-        stop = j - 1  # inclusive
-        peak = start + int(np.argmax(running[start:stop + 1]))
-        segments.append((start + n, stop + n))  # back to 1-based window indices
-        change_points.append(peak + n)
+    # Segments run between the rising and falling edges of the vote;
+    # ``stops`` are exclusive.
+    hot = np.concatenate(([False], running >= gamma, [False]))
+    edges = np.flatnonzero(hot[1:] != hot[:-1])
+    starts, stops = edges[0::2].tolist(), edges[1::2].tolist()
+    segments = [(start + n, stop - 1 + n) for start, stop in zip(starts, stops)]  # 1-based
+    change_points = [start + int(np.argmax(running[start:stop])) + n
+                     for start, stop in zip(starts, stops)]
     return LocalisationResult(change_points, segments, running, labels, n, gamma)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -274,6 +275,8 @@ class Preprocessor:
                     if len(step) != 2 or not float(step[1]) > 0:
                         raise ValueError("truncate step needs one positive parameter")
                     step = (name, float(step[1]))
+                elif len(step) != 1:
+                    raise ValueError(f"preprocessing step {name!r} takes no parameter")
                 else:
                     step = (name,)
                 steps.append(step)
@@ -658,24 +661,42 @@ def network_to_json(net: Network, preprocessor: Preprocessor | None = None) -> s
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _field(data: dict, name: str, convert):
+    """``convert(data[name])``; a missing or ill-typed field raises ``ValueError`` naming it."""
+    if name not in data:
+        raise ValueError(f"network file has no {name!r} field")
+    try:
+        return convert(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"network file field {name!r} is malformed: {exc}") from None
+
+
 def network_from_json(text: str):
-    """Inverse of :func:`network_to_json`; returns ``(network, preprocessor)``."""
+    """Inverse of :func:`network_to_json`; returns ``(network, preprocessor)``.
+
+    A file that is not such a JSON object, or whose fields are missing
+    or of the wrong type, raises ``ValueError`` naming the field.
+    """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a network file must hold a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported network schema version {version!r}")
+    spec = _field(payload, "architecture", dict)
     arch = Architecture(
-        payload["architecture"]["input_dim"],
-        tuple(payload["architecture"]["hidden"]),
-        payload["architecture"]["output_dim"],
+        _field(spec, "input_dim", operator.index),
+        _field(spec, "hidden", lambda hidden: tuple(map(operator.index, hidden))),
+        _field(spec, "output_dim", operator.index),
     )
     net = Network(
         arch,
-        [np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        np.asarray(payload["output_bias"], dtype=np.float64),
-        threshold=float(payload["threshold"]),
-        classes=tuple(payload["classes"]) if payload.get("classes") is not None else None,
+        _field(payload, "weights", lambda ws: [np.asarray(w, dtype=np.float64) for w in ws]),
+        _field(payload, "biases", lambda bs: [np.asarray(b, dtype=np.float64) for b in bs]),
+        _field(payload, "output_bias", lambda b: np.asarray(b, dtype=np.float64)),
+        threshold=_field(payload, "threshold", float),
+        classes=None if payload.get("classes") is None else _field(payload, "classes", tuple),
     )
-    pre = payload.get("preprocessor")
-    return net, (Preprocessor.from_jsonable(pre) if pre is not None else None)
+    pre = (None if payload.get("preprocessor") is None
+           else _field(payload, "preprocessor", Preprocessor.from_jsonable))
+    return net, pre

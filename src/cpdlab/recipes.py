@@ -17,6 +17,10 @@ registry keys double as the ``reproduce`` subcommand names:
     detection-miss   Miss rate just above the detection boundary.
     snr-risk         Scan risk under an SNR-floor prior vs its bound.
     grid-check       Deterministic dyadic-neighbourhood response check.
+
+The scans of fig1a, fig1d and figb1 are tuned and scored by
+:func:`cpdlab.evaluate.scan_report` on the draws that fig1a, fig1d and
+table1 train and score their network on with one helper.
 """
 
 from __future__ import annotations
@@ -28,88 +32,74 @@ import numpy as np
 
 from . import cusum, glr
 from .evaluate import (
+    EvalReport,
     batch_cusum_statistics,
     mer_from_predictions,
     monte_carlo_bound_check,
+    scan_report,
+    scan_statistics,
     tune_threshold,
 )
 from .network import Architecture, Preprocessor, TrainConfig, embed_cusum, forward, train
-from .robust import wilcoxon_statistic
 from .simulate import LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
 
 __all__ = ["RECIPES", "run_recipe"]
 
 
-def _binary_benchmark(scenario, seed, train_size, test_size, hidden, preprocessor,
-                      n=100, epochs=200):
-    """Tune a CUSUM threshold and train a network on one scenario draw.
+def _network_report(train_set, test_set, pre: Preprocessor, hidden: tuple, output_dim: int,
+                    config: TrainConfig) -> EvalReport:
+    """Train a network on ``pre`` features of ``train_set`` and score it on ``test_set``."""
+    arch = Architecture(pre.output_dim(train_set.n), hidden, output_dim)
+    net = train(pre.apply(train_set.values), train_set.labels, arch, config)
+    _, predictions = forward(net, pre.apply(test_set.values))
+    return mer_from_predictions(test_set.labels, predictions, seed=config.seed,
+                                fingerprint=test_set.fingerprint())
 
-    Returns test MERs of both detectors plus the tuned threshold, all
-    derived from a single (seed, sizes) tuple.
+
+def _cusum_versus_network(recipe, scenario, seed, train_size, test_size, n_seeds, epochs):
+    """The tuned CUSUM scan versus a wide single-layer net over ``n_seeds`` runs.
+
+    Both are fitted to each run's training draw of ``scenario`` and scored on its test draw.
     """
-    train_set = gen_scenario(ScenarioSpec(scenario, n=n, size=train_size, role="train"), seed)
-    test_set = gen_scenario(ScenarioSpec(scenario, n=n, size=test_size, role="test"), seed + 1)
-
-    threshold = tune_threshold(batch_cusum_statistics(train_set.values), train_set.labels)
-    test_stats = batch_cusum_statistics(test_set.values)
-    stat_report = mer_from_predictions(
-        test_set.labels, (test_stats > threshold).astype(np.int64),
-        threshold=threshold, seed=seed, fingerprint=test_set.fingerprint(),
-    )
-
-    arch = Architecture(preprocessor.output_dim(n), tuple(hidden), 1)
-    config = TrainConfig(epochs=epochs, seed=seed)
-    net = train(preprocessor.apply(train_set.values), train_set.labels, arch, config)
-    _, predictions = forward(net, preprocessor.apply(test_set.values))
-    net_report = mer_from_predictions(
-        test_set.labels, predictions, seed=seed, fingerprint=test_set.fingerprint(),
-    )
+    runs = []
+    for k in range(n_seeds):
+        run_seed = seed + 1000 * k
+        train_set = gen_scenario(ScenarioSpec(scenario, size=train_size, role="train"), run_seed)
+        test_set = gen_scenario(ScenarioSpec(scenario, size=test_size, role="test"), run_seed + 1)
+        scan = scan_report("cusum", train_set, test_set, seed=run_seed)
+        net = _network_report(train_set, test_set, Preprocessor(), (198,), 1,
+                              TrainConfig(epochs=epochs, seed=run_seed))
+        runs.append({"seed": run_seed, "threshold": scan.threshold,
+                     "cusum_mer": scan.mer, "network_mer": net.mer})
     return {
+        "recipe": recipe,
         "seed": seed,
-        "threshold": threshold,
-        "cusum_mer": stat_report.mer,
-        "network_mer": net_report.mer,
+        "scenario": scenario,
+        "train_size": train_size,
+        "test_size": test_size,
+        "epochs": epochs,
+        "runs": runs,
+        "median_network_mer": statistics.median(r["network_mer"] for r in runs),
+        "median_cusum_mer": statistics.median(r["cusum_mer"] for r in runs),
     }
 
 
 def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Gaussian scenario S1: wide single-layer network versus tuned CUSUM."""
-    runs = [_binary_benchmark("S1", seed + 1000 * k, train_size, test_size, (198,),
-                              Preprocessor(), epochs=epochs) for k in range(n_seeds)]
-    diffs = [r["network_mer"] - r["cusum_mer"] for r in runs]
-    return {
-        "recipe": "fig1a",
-        "seed": seed,
-        "scenario": "S1",
-        "train_size": train_size,
-        "test_size": test_size,
-        "epochs": epochs,
-        "runs": runs,
-        "median_network_mer": statistics.median(r["network_mer"] for r in runs),
-        "median_cusum_mer": statistics.median(r["cusum_mer"] for r in runs),
-        "median_mer_difference": statistics.median(diffs),
-    }
+    report = _cusum_versus_network("fig1a", "S1", seed, train_size, test_size, n_seeds, epochs)
+    report["median_mer_difference"] = statistics.median(
+        r["network_mer"] - r["cusum_mer"] for r in report["runs"])
+    return report
 
 
 def fig1d(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Cauchy scenario S3: the trained network should beat tuned CUSUM."""
-    runs = [_binary_benchmark("S3", seed + 1000 * k, train_size, test_size, (198,),
-                              Preprocessor(), epochs=epochs) for k in range(n_seeds)]
-    gains = [r["cusum_mer"] - r["network_mer"] for r in runs]
-    return {
-        "recipe": "fig1d",
-        "seed": seed,
-        "scenario": "S3",
-        "train_size": train_size,
-        "test_size": test_size,
-        "epochs": epochs,
-        "runs": runs,
-        "median_network_mer": statistics.median(r["network_mer"] for r in runs),
-        "median_cusum_mer": statistics.median(r["cusum_mer"] for r in runs),
-        "median_mer_gain": statistics.median(gains),
-    }
+    report = _cusum_versus_network("fig1d", "S3", seed, train_size, test_size, n_seeds, epochs)
+    report["median_mer_gain"] = statistics.median(
+        r["cusum_mer"] - r["network_mer"] for r in report["runs"])
+    return report
 
 
 def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
@@ -126,11 +116,7 @@ def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
     test_set = gen_scenario(ScenarioSpec("S3", size=test_size, role="test"), seed + 1)
     n = train_set.n
 
-    wil_threshold = tune_threshold(wilcoxon_statistic(train_set.values)[0], train_set.labels)
-    wil_test = wilcoxon_statistic(test_set.values)[0]
-    wil_report = mer_from_predictions(
-        test_set.labels, (wil_test > wil_threshold).astype(np.int64),
-        threshold=wil_threshold, seed=seed, fingerprint=test_set.fingerprint())
+    wil_report = scan_report("wilcoxon", train_set, test_set, seed=seed)
 
     pre = Preprocessor(((*(("truncate", z),) * clip_passes, ("unit_scale",)),))
     feats_train = pre.apply(train_set.values)
@@ -144,7 +130,7 @@ def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
         test_set.labels, predictions, seed=seed, fingerprint=test_set.fingerprint())
     return {
         "seed": seed,
-        "wilcoxon_threshold": wil_threshold,
+        "wilcoxon_threshold": wil_report.threshold,
         "scan_threshold": scan_threshold,
         "wilcoxon_mer": wil_report.mer,
         "network_mer": net_report.mer,
@@ -174,11 +160,12 @@ def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
     }
 
 
-def _scan_statistics(kind: str, X: np.ndarray) -> np.ndarray:
-    """Statistic of every row of ``X`` under the "mean", "variance" or "slope" scan."""
-    scans = {"mean": cusum.cusum_statistic, "variance": glr.lr_variance_scan,
-             "slope": glr.lr_slope_scan}
-    return scans[kind](X)[0]
+# The oracle's test of each change type: the scan it runs, the class it
+# predicts when the scan fires and when it does not, and the classes of
+# the examples it labels.  Its threshold is tuned on the examples of the
+# first two classes.
+_ORACLE_TESTS = (("mean", "cusum", 2, 1, (1, 2)), ("variance", "variance", 3, 1, (3,)),
+                 ("slope", "slope", 5, 4, (4, 5)))
 
 
 def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray:
@@ -189,10 +176,9 @@ def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray
     (5, else 4).  This mirrors pre-specifying the change type under test.
     """
     preds = np.empty(len(dataset), dtype=np.int64)
-    for kind, classes, fired, idle in (("mean", (1, 2), 2, 1), ("variance", (3,), 3, 1),
-                                       ("slope", (4, 5), 5, 4)):
+    for kind, method, fired, idle, classes in _ORACLE_TESTS:
         mask = np.isin(dataset.labels, classes)
-        stats = _scan_statistics(kind, dataset.values[mask])
+        stats = scan_statistics(method, dataset.values[mask])
         preds[mask] = np.where(stats > thresholds[kind], fired, idle)
     return preds
 
@@ -211,10 +197,10 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
     test_set = gen_multiclass(spec_test, seed + 1)
 
     thresholds = {}
-    for kind, positive, negatives in (("mean", 2, (1,)), ("variance", 3, (1,)), ("slope", 5, (4,))):
-        mask = np.isin(train_set.labels, (positive, *negatives))
-        thresholds[kind] = tune_threshold(_scan_statistics(kind, train_set.values[mask]),
-                                          train_set.labels[mask] == positive)
+    for kind, method, fired, idle, _ in _ORACLE_TESTS:
+        mask = np.isin(train_set.labels, (fired, idle))
+        thresholds[kind] = tune_threshold(scan_statistics(method, train_set.values[mask]),
+                                          train_set.labels[mask] == fired)
 
     oracle_report = mer_from_predictions(
         test_set.labels, _oracle_predictions(test_set, thresholds),
@@ -226,12 +212,8 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
 
     pre = Preprocessor((("unit_scale",), (("square",), ("unit_scale",))))
     width = 4 * (spec_train.n.bit_length() - 1)
-    arch = Architecture(pre.output_dim(spec_train.n), (width,) * 5, 5)
-    config = TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02)
-    net = train(pre.apply(train_set.values), train_set.labels, arch, config)
-    _, net_predictions = forward(net, pre.apply(test_set.values))
-    net_report = mer_from_predictions(
-        test_set.labels, net_predictions, seed=seed, fingerprint=test_set.fingerprint())
+    net_report = _network_report(train_set, test_set, pre, (width,) * 5, 5,
+                                 TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02))
 
     return {
         "recipe": "table1",
@@ -257,19 +239,17 @@ def thm_localisation(seed: int = 7, *, reps: int = 500) -> dict:
 
 
 def null_rate(seed: int = 7, *, reps: int = 20000) -> dict:
-    check = monte_carlo_bound_check("null_rate", {"n": 100, "eps": 0.05}, reps=reps, seed=seed)
+    check = monte_carlo_bound_check("null_rate", reps=reps, seed=seed)
     return {"recipe": "null-rate", "seed": seed, **check.to_jsonable()}
 
 
 def detection_miss(seed: int = 7, *, reps: int = 20000) -> dict:
-    check = monte_carlo_bound_check(
-        "detection_miss", {"n": 100, "eps": 0.05, "snr_multiplier": 1.05}, reps=reps, seed=seed)
+    check = monte_carlo_bound_check("detection_miss", reps=reps, seed=seed)
     return {"recipe": "detection-miss", "seed": seed, **check.to_jsonable()}
 
 
 def snr_risk(seed: int = 7, *, reps: int = 20000) -> dict:
-    check = monte_carlo_bound_check(
-        "snr_risk", {"n": 100, "snr_bound": 0.8}, reps=reps, seed=seed)
+    check = monte_carlo_bound_check("snr_risk", reps=reps, seed=seed)
     return {"recipe": "snr-risk", "seed": seed, **check.to_jsonable()}
 
 

@@ -225,22 +225,55 @@ def test_non_finite_csv_exits_two(tmp_path):
                 "--out", out]) == 2
 
 
-@pytest.mark.parametrize("field, value", [("threshold", float("nan")),
-                                          ("threshold", float("inf")),
-                                          ("classes", [0, 1])],
-                         ids=["nan-threshold", "inf-threshold", "class-count"])
-def test_malformed_network_file_exits_two(tmp_path, field, value):
+_MISSING = object()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("threshold", float("nan"), "threshold"),
+    ("threshold", float("inf"), "threshold"),
+    ("classes", [0, 1], "classes"),
+    (None, None, "JSON object"),
+    ("architecture", _MISSING, "'architecture'"),
+    ("weights", _MISSING, "'weights'"),
+    ("threshold", None, "'threshold'"),
+    ("classes", 3, "'classes'"),
+    ("preprocessor", 5, "'preprocessor'"),
+    ("architecture.hidden", None, "'hidden'"),
+], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
+        "no-weights", "null-threshold", "int-classes", "int-preprocessor", "null-hidden"])
+def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])
     arch_net = embed_cusum(100, 3.0)
     if field == "classes":
         arch_net = _init_network(Architecture(100, (4,), 3), np.random.default_rng(0))
     payload = json.loads(network_to_json(arch_net, Preprocessor((("identity",),))))
-    payload[field] = value
+    if field is None:
+        payload = [payload]
+    else:
+        *path, key = field.split(".")
+        owner = payload[path[0]] if path else payload
+        if value is _MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
     net = tmp_path / "net.json"
     net.write_text(json.dumps(payload))
     out = tmp_path / "r.json"
+    capsys.readouterr()
     assert run(["detect", "--method", "net", "--net", net, "--data", data, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parameter_on_parameterless_step_exits_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["simulate", "--N", 10, "--seed", 5, "--out", data])
+    out = tmp_path / "net.json"
+    for spec in ("unit_scale:3", "truncate:3+square:7|unit_scale"):
+        assert run(["train", "--data", data, "--epochs", 1, "--preprocess", spec,
+                    "--out", out]) == 2
+        assert "takes no parameter" in capsys.readouterr().err
     assert not out.exists()
 
 

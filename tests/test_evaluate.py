@@ -114,6 +114,12 @@ class TestBoundChecks:
         with pytest.raises(ValueError, match="unknown bound check"):
             monte_carlo_bound_check("coverage", {}, reps=1000, seed=0)
 
+    @pytest.mark.parametrize("kind, reps", [("null_rate", 1000), ("detection_miss", 1000),
+                                            ("snr_risk", 1000), ("localisation", 100)])
+    def test_unknown_parameter_named(self, kind, reps):
+        with pytest.raises(ValueError, match="unknown parameters.*'windw'"):
+            monte_carlo_bound_check(kind, {"windw": 64}, reps=reps, seed=0)
+
     def test_localisation_rejects_small_jumps(self):
         with pytest.raises(ValueError, match="jump"):
             monte_carlo_bound_check(

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdlab import cli, cusum, glr, recipes
+from cpdlab import cusum, glr
+from cpdlab.evaluate import scan_statistics
 
 
 def test_mean_design_matches_cusum_contrasts():
@@ -261,13 +262,13 @@ class TestOracleClassify:
 
     def test_constant_series_never_fires(self):
         X = np.full((3, 20), 1.3)
-        for kind in ("mean", "variance", "slope"):
-            assert not np.any(recipes._scan_statistics(kind, X) > 0.5)
+        for method in ("cusum", "variance", "slope"):
+            assert not np.any(scan_statistics(method, X) > 0.5)
 
     def test_mean_oracle_matches_cusum(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((50, 30))
-        stats = recipes._scan_statistics("mean", X)
+        stats = scan_statistics("cusum", X)
         for thr in (0.5, 1.5, 3.0):
             fired = (stats > thr).astype(int)
             assert fired.tolist() == [int(cusum.cusum_statistic(x)[0] > thr) for x in X]
@@ -280,8 +281,8 @@ class TestOracleClassify:
         taus = rng.integers(100, 301, size=100)
         sd = np.where(np.arange(1, 401)[None, :] <= taus[:, None], 0.3, 0.6)
         X = sd * rng.standard_normal((100, 400))
-        assert int(np.sum(recipes._scan_statistics("variance", X) > thr)) >= 95
+        assert int(np.sum(scan_statistics("variance", X) > thr)) >= 95
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
-            cli._statistics("median", np.ones((1, 10)))
+            scan_statistics("median", np.ones((1, 10)))

@@ -136,6 +136,30 @@ class TestLocalise:
         assert _contained(localise(series, clf, high).segments,
                           localise(series, clf, low).segments)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(arrays(np.int64, st.integers(9, 150), elements=st.integers(0, 1)),
+           st.integers(4, 8), st.floats(0.01, 1.0))
+    def test_segments_match_plain_loop(self, labels, n, gamma):
+        # At least n + 1 labels, so the series holds 2n points.
+        result = localise(np.zeros(labels.size + n - 1), _fixed_labels_classifier(n, labels),
+                          gamma)
+        running = result.running_mean
+        segments, change_points = [], []
+        j = 0
+        while j < running.size:
+            if running[j] < gamma:
+                j += 1
+                continue
+            start = j
+            while j < running.size and running[j] >= gamma:
+                j += 1
+            peak = start + int(np.argmax(running[start:j]))
+            segments.append((start + n, j - 1 + n))
+            change_points.append(peak + n)
+        assert result.segments == segments
+        assert result.change_points == change_points
+        assert all(type(t) is int for t in change_points + [i for s in segments for i in s])
+
     def test_input_validation(self):
         clf = _constant_classifier(16, 0)
         with pytest.raises(ValueError, match="length >= 32"):

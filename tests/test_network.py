@@ -113,6 +113,13 @@ class TestPreprocessor:
         with pytest.raises(ValueError, match="unknown preprocessing step"):
             Preprocessor(((("whiten",),),))
 
+    def test_parameter_on_parameterless_step_rejected(self):
+        for name in ("identity", "unit_scale", "square", "lag_product"):
+            with pytest.raises(ValueError, match=f"{name!r} takes no parameter"):
+                Preprocessor(((("unit_scale",), (name, 3.0)),))
+        with pytest.raises(ValueError, match="'identity' takes no parameter"):
+            Preprocessor.from_jsonable([[["identity", 9, 9]]])
+
     def test_non_finite_input_rejected(self):
         X = np.ones((2, 5))
         X[1, 3] = math.inf
