@@ -14,6 +14,7 @@ absorbs simulation noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -207,8 +208,7 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameters: {unknown}")
-    # A given value takes the type of its parameter's default: int, float or tuple.
-    params = {name: type(defaults[name])(value) for name, value in params.items()}
+    params = {name: _typed_param(name, value, defaults[name]) for name, value in params.items()}
     empirical, bound, used = checks[kind](np.random.default_rng(seed), reps, **params)
     slack = (0.0 if kind == "localisation"
              else 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / reps))
@@ -225,6 +225,28 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
 
 
 # Each check returns (empirical rate, bound, parameters used).
+
+def _typed_param(name: str, value, default):
+    """``value`` as the type of its parameter's default: int, float or tuple.
+
+    A number parameter takes a real number (Python or numpy), never a bool
+    or a string; an int parameter takes only an integral one (``100``,
+    ``100.0``, ``np.float32(100)``).  Any other value raises
+    ``ValueError`` naming the parameter, never a truncation.
+    """
+    if isinstance(default, tuple):
+        return tuple(value)
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if isinstance(default, float):
+        if not real:
+            raise ValueError(f"parameter {name!r} must be a real number, got {value!r}")
+        return float(value)
+    if real and isinstance(value, numbers.Integral):
+        return int(value)
+    if real and float(value).is_integer():
+        return int(float(value))
+    raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
+
 
 def _null_rate(rng, reps, /, *, n=100, eps=0.05):
     threshold = cusum.null_threshold(n, eps)

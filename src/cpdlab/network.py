@@ -18,7 +18,8 @@ hidden bias, then the output bias, each flattened row-major.  The
 ``weights``, ``biases`` and ``output_bias`` fields are reshaped views of
 that vector, and :func:`loss_and_gradient` returns its gradient as one
 vector in the same layout, so an optimiser step is a handful of
-element-wise passes over a single buffer.
+element-wise passes over a single buffer.  :func:`train` allocates that
+gradient vector once and passes it to every step as ``out``.
 
 Training minimises the cross-entropy of a logistic (or softmax) link on
 the score with Adam; the hard threshold is evaluation-only since the
@@ -330,9 +331,12 @@ def _forward_pass(net: Network, X: np.ndarray):
     activations = [X]
     a = X
     for w, b in zip(net.weights[:-1], net.biases):
-        a = np.maximum(a @ w.T - b, 0.0)
+        a = a @ w.T
+        a -= b
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
-    scores = a @ net.weights[-1].T - net.output_bias
+    scores = a @ net.weights[-1].T
+    scores -= net.output_bias
     return activations, scores
 
 
@@ -393,65 +397,79 @@ def embed_cusum(n: int, threshold: float, variant: str = "full") -> Network:
     return Network(arch, [w0, w1], [b1], np.zeros(1), threshold=0.0)
 
 
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _binary_loss(s: np.ndarray, y: np.ndarray):
+    """Mean logistic cross-entropy and d(loss)/d(score).
 
-
-def _binary_loss(scores: np.ndarray, y: np.ndarray):
-    """Mean logistic cross-entropy and d(loss)/d(score)."""
-    s = scores
-    loss = np.mean(np.logaddexp(0.0, s) - y * s)
-    grad = (_sigmoid(s) - y) / s.size
-    return float(loss), grad
+    The sigmoid takes one ``e = exp(-|s|)`` for both signs of the score,
+    ``1 / (1 + e)`` where ``s >= 0`` and ``e / (1 + e)`` elsewhere, so
+    neither branch overflows.  Means are taken as ``sum / size``, which is
+    how ``np.mean`` computes them.
+    """
+    losses = np.logaddexp(0.0, s)
+    losses -= y * s
+    e = np.abs(s)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    grad = np.where(s >= 0, 1.0, e)
+    e += 1.0
+    grad /= e
+    grad -= y
+    grad /= s.size
+    return float(losses.sum() / s.size), grad
 
 
 def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray):
     """Mean softmax cross-entropy (log-sum-exp stabilised) and gradient."""
     m = scores.shape[0]
+    rows = np.arange(m)
     shift = scores - scores.max(axis=1, keepdims=True)
     grad = np.exp(shift)
     log_z = np.log(np.sum(grad, axis=1))
-    loss = float(np.mean(log_z - shift[np.arange(m), y_idx]))
+    losses = log_z - shift[rows, y_idx]
     grad /= np.exp(log_z)[:, None]
-    grad[np.arange(m), y_idx] -= 1.0
-    return loss, grad / m
+    grad[rows, y_idx] -= 1.0
+    grad /= m
+    return float(losses.sum() / m), grad
 
 
-def loss_and_gradient(net: Network, X, y):
+def loss_and_gradient(net: Network, X, y, *, out: np.ndarray | None = None):
     """Cross-entropy loss of a batch and its exact parameter gradient.
 
     ``y`` holds 0/1 labels for binary networks or class indices
     ``0..K-1`` for multiclass ones.  Returns ``(loss, grad)``, where
-    ``grad`` is one new flat vector in the layout of ``net.params``; each
+    ``grad`` is one flat vector in the layout of ``net.params``; each
     layer's gradient is written straight into its view of that vector.
+    ``out``, a contiguous float64 vector of that size, receives the
+    gradient and is returned as ``grad``; any other ``out`` raises
+    ``ValueError``.  Without it a new vector is allocated.
     Duplicated examples leave both loss and gradient unchanged (mean
     reduction).  A non-finite loss raises :class:`TrainingError`.
     """
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == net.params.shape and out.flags.c_contiguous):
+        raise ValueError(f"out must be a contiguous float64 vector of {net.params.size} entries")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    y = np.asarray(y)
     activations, scores = _forward_pass(net, X)
     if net.is_binary:
-        loss, dscore = _binary_loss(scores[:, 0], y.astype(np.float64))
+        loss, dscore = _binary_loss(scores[:, 0], np.asarray(y, dtype=np.float64))
         g = dscore[:, None]
     else:
-        loss, g = _softmax_loss(scores, y.astype(np.int64))
+        loss, g = _softmax_loss(scores, np.asarray(y, dtype=np.int64))
     if not math.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss!r}; inputs or parameters diverged")
 
-    grad = np.empty_like(net.params)
+    grad = np.empty_like(net.params) if out is None else out
     d_weights, d_biases, d_output_bias = _split(net.architecture, grad)
     np.matmul(g.T, activations[-1], out=d_weights[-1])
     np.negative(g.sum(axis=0), out=d_output_bias)
-    delta = g @ net.weights[-1]
+    # With one output, g @ W has a single product per entry; the broadcast
+    # gives the same values (an exact zero may carry the other sign, which
+    # the sums and matmuls below drop) without a BLAS call.
+    delta = g * net.weights[-1] if net.is_binary else g @ net.weights[-1]
     for l in range(net.architecture.depth, 0, -1):
-        delta = delta * (activations[l] > 0)
+        delta *= activations[l] > 0
         np.matmul(delta.T, activations[l - 1], out=d_weights[l - 1])
         np.negative(delta.sum(axis=0), out=d_biases[l - 1])
         if l > 1:
@@ -489,6 +507,11 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     At the end of each epoch, first-moment entries that have decayed into
     the subnormal range are set to signed zero; this keeps the Adam passes
     at full speed and cannot move a parameter (see the module docstring).
+
+    Each step gathers its batch with ``take`` and calls
+    :func:`loss_and_gradient` with one gradient vector allocated up
+    front (``out``), so a step allocates no parameter-sized array.
+    Non-integral labels for a multiclass network raise ``ValueError``.
     """
     X = np.atleast_2d(_finite_array(X))
     y = np.asarray(y)
@@ -505,7 +528,12 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
         if not np.all(np.isin(y, (0, 1))):
             raise ValueError("binary training labels must be 0 or 1")
     else:
-        classes = tuple(int(c) for c in np.unique(y))
+        values = np.unique(y)
+        if values.dtype.kind not in "biu" and not (
+                values.dtype.kind == "f"
+                and np.all(np.isfinite(values) & (values == np.trunc(values)))):
+            raise ValueError("multiclass training labels must be integers")
+        classes = tuple(int(c) for c in values)
         if len(classes) != arch.output_dim:
             raise ValueError(
                 f"{len(classes)} distinct labels but output_dim {arch.output_dim}"
@@ -524,6 +552,7 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
     m_state = np.zeros_like(params)
     v_state = np.zeros_like(params)
+    grad = np.empty_like(params)
     tmp = np.empty_like(params)
     denom = np.empty_like(params)
     step = 0
@@ -535,7 +564,8 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
             batch = order[start:start + config.batch_size]
             step += 1
             try:
-                _, g = loss_and_gradient(current, X[batch], targets[batch])
+                _, g = loss_and_gradient(current, X.take(batch, axis=0), targets.take(batch),
+                                         out=grad)
             except TrainingError as exc:
                 raise _divergence(arch, params, epoch, step, str(exc)) from exc
             c1 = 1.0 - b1**step

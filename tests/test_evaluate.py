@@ -1,5 +1,7 @@
 """Tests for scoring, threshold tuning and Monte-Carlo bound checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,27 @@ class TestBoundChecks:
     def test_unknown_parameter_named(self, kind, reps):
         with pytest.raises(ValueError, match="unknown parameters.*'windw'"):
             monte_carlo_bound_check(kind, {"windw": 64}, reps=reps, seed=0)
+
+    @pytest.mark.parametrize("kind, params, reps", [
+        ("null_rate", {"n": 100.7}, 1000), ("snr_risk", {"n": "100"}, 1000),
+        ("localisation", {"window": 64.9}, 100), ("detection_miss", {"n": math.nan}, 1000),
+        ("null_rate", {"n": True}, 1000), ("null_rate", {"n": np.float32(100.5)}, 1000)])
+    def test_non_integral_count_named(self, kind, params, reps):
+        name = next(iter(params))
+        with pytest.raises(ValueError, match=f"parameter '{name}' must be an integer"):
+            monte_carlo_bound_check(kind, params, reps=reps, seed=1)
+
+    @pytest.mark.parametrize("eps", ["0.05", True, None])
+    def test_non_numeric_rate_named(self, eps):
+        with pytest.raises(ValueError, match="parameter 'eps' must be a real number"):
+            monte_carlo_bound_check("null_rate", {"eps": eps}, reps=1000, seed=1)
+
+    @pytest.mark.parametrize("n", [100, 100.0, np.int64(100), np.float64(100.0),
+                                   np.float32(100.0)])
+    def test_integral_count_accepted(self, n):
+        check = monte_carlo_bound_check("null_rate", {"n": n}, reps=1000, seed=1)
+        assert check.params["n"] == 100 and type(check.params["n"]) is int
+        assert check == monte_carlo_bound_check("null_rate", {"n": 100}, reps=1000, seed=1)
 
     def test_localisation_rejects_small_jumps(self):
         with pytest.raises(ValueError, match="jump"):

@@ -26,7 +26,7 @@ from cpdlab.network import (
     train,
     unit_scale,
 )
-from cpdlab.network import _array_at, _init_network
+from cpdlab.network import _array_at, _init_network, _split
 from cpdlab.simulate import ScenarioSpec, gen_scenario
 
 
@@ -245,6 +245,56 @@ class TestLossAndGradient:
             loss_and_gradient(net, np.empty((0, 3)), np.empty(0))
 
 
+class TestReferenceGradient:
+    @staticmethod
+    def _assert_same(net, X, y):
+        want_loss, want = _reference_gradient(net, X, y)
+        buffer = np.full_like(net.params, np.nan)
+        for out in (None, buffer):
+            loss, grad = loss_and_gradient(net, X, y, out=out)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want.tobytes()
+        assert grad is buffer
+
+    @pytest.mark.parametrize("arch, n_classes", [
+        (Architecture(6, (5, 4), 1), 2),
+        (Architecture(5, (7,), 3), 3),
+        (Architecture(4, (6, 3, 5), 4), 4),
+    ])
+    @pytest.mark.parametrize("rows", [32, 5, 1])  # a full batch, a ragged last one, one row
+    def test_matches_reference_bit_for_bit(self, arch, n_classes, rows):
+        rng = np.random.default_rng(22)
+        net = _init_network(arch, rng)
+        net.biases[0][:] = rng.normal(0.0, 0.5, net.biases[0].shape)  # some dead units
+        X = 3.0 * rng.standard_normal((rows, arch.input_dim))
+        self._assert_same(net, X, np.arange(rows) % n_classes)
+
+    def test_saturated_scores_match_reference(self):
+        net, X, y = _saturated_cusum_batch()
+        scores, _ = forward(net, X)
+        e = np.exp(-np.abs(scores))
+        sig_minus_y = np.where(scores >= 0, 1.0, e) / (1.0 + e) - y
+        saturated = np.abs(scores) > 40
+        assert saturated.sum() >= 10 and np.all(sig_minus_y[saturated] == 0.0)
+        assert np.any(scores > 40) and np.any(scores < -40)
+        assert not np.all(sig_minus_y == 0.0)
+        self._assert_same(net, X, y)
+
+    @pytest.mark.parametrize("make", [
+        lambda size: np.empty(size + 1),                    # a stale tail
+        lambda size: np.empty(size - 1),
+        lambda size: np.empty(size, dtype=np.float32),      # would cast down
+        lambda size: np.empty(2 * size)[::2],               # reshape would copy
+        lambda size: np.empty((1, size)),
+        lambda size: [0.0] * size,
+    ])
+    def test_rejects_a_wrong_out(self, make):
+        rng = np.random.default_rng(23)
+        net = _init_network(Architecture(4, (3,), 1), rng)
+        with pytest.raises(ValueError, match="contiguous float64 vector of 19 entries"):
+            loss_and_gradient(net, rng.standard_normal((2, 4)), [0, 1], out=make(net.params.size))
+
+
 class TestGradCheck:
     def test_smooth_region_is_machine_precision(self):
         # Biases far below the activations keep every ReLU strictly on.
@@ -387,6 +437,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="finite|< 1"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("labels", [[1.2, 1.7, 3.0, 1.2], [1.0, 2.0, math.nan, 1.0],
+                                        [0.0, 1.0, math.inf, 0.0], ["a", "b", "c", "a"]])
+    def test_non_integral_multiclass_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train(np.zeros((4, 3)), np.array(labels), Architecture(3, (2,), 2),
+                  TrainConfig(epochs=1))
+
+    def test_integral_float_multiclass_labels_accepted(self):
+        X = np.random.default_rng(24).standard_normal((6, 3))
+        cfg = TrainConfig(epochs=2)
+        net = train(X, np.array([1.0, 3.0, 1.0, 3.0, 1.0, 3.0]), Architecture(3, (2,), 2), cfg)
+        ints = train(X, np.array([1, 3, 1, 3, 1, 3]), Architecture(3, (2,), 2), cfg)
+        assert net.classes == (1, 3) and net.params.tobytes() == ints.params.tobytes()
+
     def test_label_arity_mismatch(self):
         X = np.zeros((4, 3))
         with pytest.raises(ValueError, match="binary"):
@@ -409,6 +473,68 @@ class TestTrain:
             mer_after = float(np.mean(after != test_set.labels))
             results.append(mer_after - mer_before)
         assert all(delta <= 0.02 for delta in results)
+
+
+def _reference_gradient(net, X, y):
+    """Reference ``(loss, grad)`` for ``loss_and_gradient``, computed the plain way.
+
+    Out-of-place forward pass, a sigmoid split by boolean masks, ``np.mean``
+    for the losses and a matmul for the first back-propagated delta.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y)
+    activations = [X]
+    a = X
+    for w, b in zip(net.weights[:-1], net.biases):
+        a = np.maximum(a @ w.T - b, 0.0)
+        activations.append(a)
+    scores = a @ net.weights[-1].T - net.output_bias
+    if net.is_binary:
+        s, t = scores[:, 0], y.astype(np.float64)
+        loss = float(np.mean(np.logaddexp(0.0, s) - t * s))
+        sig = np.empty_like(s)
+        pos = s >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+        e = np.exp(s[~pos])
+        sig[~pos] = e / (1.0 + e)
+        g = ((sig - t) / s.size)[:, None]
+    else:
+        m, idx = scores.shape[0], y.astype(np.int64)
+        shift = scores - scores.max(axis=1, keepdims=True)
+        g = np.exp(shift)
+        log_z = np.log(np.sum(g, axis=1))
+        loss = float(np.mean(log_z - shift[np.arange(m), idx]))
+        g /= np.exp(log_z)[:, None]
+        g[np.arange(m), idx] -= 1.0
+        g = g / m
+    grad = np.empty_like(net.params)
+    d_weights, d_biases, d_output_bias = _split(net.architecture, grad)
+    np.matmul(g.T, activations[-1], out=d_weights[-1])
+    np.negative(g.sum(axis=0), out=d_output_bias)
+    delta = g @ net.weights[-1]
+    for l in range(net.architecture.depth, 0, -1):
+        delta = delta * (activations[l] > 0)
+        np.matmul(delta.T, activations[l - 1], out=d_weights[l - 1])
+        np.negative(delta.sum(axis=0), out=d_biases[l - 1])
+        if l > 1:
+            delta = delta @ net.weights[l - 1]
+    return loss, grad
+
+
+def _saturated_cusum_batch(n=20, rows=16, seed=21):
+    """An ``embed_cusum`` net whose output weights are -1 on half its units,
+    and a batch whose jumps of ±100 push most scores far past ±40.  Those
+    rows are labelled as the net decides, so their logistic gradient is
+    exactly 0, also against the negative weights."""
+    rng = np.random.default_rng(seed)
+    net = embed_cusum(n, 3.0)
+    net.weights[-1][0, n - 1:] = -1.0
+    X = rng.standard_normal((rows, n))
+    X[3:, n // 2:] += rng.choice([-100.0, 100.0], rows - 3)[:, None]  # 3 rows stay near
+    scores, _ = forward(net, X)
+    y = (scores > 0).astype(np.int64)
+    y[:3] = rng.integers(0, 2, 3)
+    return net, X, y
 
 
 def _reference_adam(X, y, arch, config, return_m=False):
@@ -434,7 +560,7 @@ def _reference_adam(X, y, arch, config, return_m=False):
         for start in range(0, X.shape[0], config.batch_size):
             batch = order[start:start + config.batch_size]
             current = Network(arch, params[:n_weights], params[n_weights:-1], params[-1])
-            _, flat = loss_and_gradient(current, X[batch], y[batch])
+            _, flat = _reference_gradient(current, X[batch], y[batch])
             sizes = np.cumsum([p.size for p in params])[:-1]
             grads = [g.reshape(p.shape) for g, p in zip(np.split(flat, sizes), params)]
             step += 1
