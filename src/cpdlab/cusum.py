@@ -202,7 +202,11 @@ def step_response(n: int, tau, delta: float = 1.0) -> np.ndarray:
 
     Closed form: the response rises like delta*(n-tau)*sqrt(i/(n(n-i)))
     up to the change and decays like delta*tau*sqrt((n-i)/(n i)) after it,
-    peaking at i = tau with value delta*sqrt(tau*(n-tau)/n).  Entry ``i-1``
+    peaking at i = tau with value delta*sqrt(tau*(n-tau)/n).  Each row is
+    therefore nondecreasing in i up to tau and nonincreasing after it, and
+    this holds for the computed floats too: ``i/(n(n-i))`` and
+    ``(n-i)/(n i)`` are correctly rounded monotone functions of i, and so
+    are ``sqrt`` and the product with the positive factor.  Entry ``i-1``
     of the returned vector is the response at scan position ``i``.  An
     array of ``T`` change locations gives one response per row, shape
     ``(T, n-1)``; a scalar ``tau`` gives shape ``(n-1,)``.
@@ -210,11 +214,18 @@ def step_response(n: int, tau, delta: float = 1.0) -> np.ndarray:
     t = np.asarray(tau)
     if np.any((t < 1) | (t > n - 1)):
         raise ValueError(f"tau must lie in [1, n-1], got tau={tau}, n={n}")
-    t = t[..., None]
-    i = np.arange(1, n, dtype=np.float64)
-    rising = (n - t) * np.sqrt(i / (n * (n - i)))
-    falling = t * np.sqrt((n - i) / (n * i))
-    return abs(delta) * np.where(i <= t, rising, falling)
+    return abs(delta) * _unit_step_response(n, t[..., None], np.arange(1, n, dtype=np.float64))
+
+
+def _unit_step_response(n: int, tau, i):
+    """Closed-form response to a unit step at ``tau`` at scan positions ``i``.
+
+    ``tau`` and ``i`` broadcast against each other; positions must lie in
+    [1, n-1].  :func:`step_response` evaluates it on every position.
+    """
+    rising = (n - tau) * np.sqrt(i / (n * (n - i)))
+    falling = tau * np.sqrt((n - i) / (n * i))
+    return np.where(i <= tau, rising, falling)
 
 
 def _check_snr_args(n: int, snr_bound: float) -> None:

@@ -6,6 +6,10 @@ shortest round-trip decimals (at most 17 significant digits), so
 ``load_dataset(save_dataset(d))`` reproduces the array bit-exactly and
 identical inputs produce byte-identical files.  All output uses '.' as
 the decimal separator and newline-terminated rows regardless of locale.
+The loaders count the non-blank lines first, then parse each row with
+``float`` straight into a preallocated float64 array, so only one row
+at a time is held as Python floats.  A malformed row, a wrong field
+count or a non-finite value is reported with its line number.
 
 JSON reports carry a ``schema_version`` field and are written with
 sorted keys, so equal report dictionaries serialise to equal bytes.
@@ -33,19 +37,15 @@ __all__ = [
 REPORT_SCHEMA_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def save_dataset(dataset: LabeledDataset, path) -> None:
     """Write a labelled dataset as ``label,tau,x1..xn`` CSV."""
     n = dataset.n
     header = "label,tau," + ",".join(f"x{j}" for j in range(1, n + 1))
     lines = [header]
-    for row, label, meta in zip(dataset.values, dataset.labels, dataset.metadata):
+    for row, label, meta in zip(dataset.values.tolist(), dataset.labels, dataset.metadata):
         tau = meta.get("tau")
         tau_text = "" if tau is None else str(int(tau))
-        lines.append(f"{int(label)},{tau_text}," + ",".join(_fmt(v) for v in row))
+        lines.append(f"{int(label)},{tau_text}," + ",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -55,8 +55,7 @@ def load_dataset(path) -> LabeledDataset:
     Raises ``ValueError`` naming the offending column or line on any
     schema mismatch or non-finite value.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or not lines[0].strip():
         raise ValueError(f"{path}: empty dataset file")
     header = lines[0].split(",")
@@ -66,11 +65,13 @@ def load_dataset(path) -> LabeledDataset:
     for j, name in enumerate(header[2:], start=1):
         if name != f"x{j}":
             raise ValueError(f"{path}: expected column 'x{j}', found {name!r}")
-    values, labels, metas, linenos = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
+    linenos = _data_lines(lines, start=1)
+    if not linenos:
+        raise ValueError(f"{path}: no data rows")
+    values = np.empty((len(linenos), n))
+    labels, metas = [], []
+    for r, lineno in enumerate(linenos):
+        fields = lines[lineno - 1].split(",")
         if len(fields) != n + 2:
             raise ValueError(
                 f"{path}:{lineno}: expected {n + 2} fields, found {len(fields)}"
@@ -78,50 +79,47 @@ def load_dataset(path) -> LabeledDataset:
         try:
             label = int(fields[0])
             tau = None if fields[1] == "" else int(fields[1])
-            row = [float(v) for v in fields[2:]]
+            values[r] = list(map(float, fields[2:]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-        values.append(row)
         labels.append(label)
         metas.append({"tau": tau, "label": label})
-        linenos.append(lineno)
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(_finite_rows(path, values, linenos), np.asarray(labels), metas)
+    return LabeledDataset(_check_finite(path, values, linenos), np.asarray(labels), metas)
 
 
 def save_values(rows: np.ndarray, path) -> None:
     """Write plain series rows (no labels) as CSV, one series per line."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    lines = [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [",".join(map(repr, row)) for row in rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def load_values(path) -> np.ndarray:
     """Read plain series rows written by :func:`save_values`; non-finite values raise."""
-    rows, linenos = [], []
-    width = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
-        if not line.strip():
-            continue
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    linenos = _data_lines(lines, start=0)
+    if not linenos:
+        raise ValueError(f"{path}: empty values file")
+    width = lines[linenos[0] - 1].count(",") + 1
+    values = np.empty((len(linenos), width))
+    for r, lineno in enumerate(linenos):
         try:
-            row = [float(v) for v in line.split(",")]
+            row = list(map(float, lines[lineno - 1].split(",")))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
-        rows.append(row)
-        linenos.append(lineno)
-    if not rows:
-        raise ValueError(f"{path}: empty values file")
-    return _finite_rows(path, rows, linenos)
+        values[r] = row
+    return _check_finite(path, values, linenos)
 
 
-def _finite_rows(path, rows: list, linenos) -> np.ndarray:
-    """Stack parsed rows, rejecting ``nan`` and ``inf`` with the first offending line."""
-    values = np.asarray(rows)
+def _data_lines(lines: list, start: int) -> list:
+    """1-based numbers of the non-blank lines after the first ``start`` lines."""
+    return [k for k, line in enumerate(lines[start:], start=start + 1) if line.strip()]
+
+
+def _check_finite(path, values: np.ndarray, linenos) -> np.ndarray:
+    """Return ``values``, rejecting ``nan`` and ``inf`` with the first offending line."""
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

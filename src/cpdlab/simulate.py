@@ -163,60 +163,74 @@ def snr_base(n: int, tau: int) -> float:
 
 
 def ar1_noise(rho: np.ndarray, innovations: np.ndarray) -> np.ndarray:
-    """Run the AR(1) recursion e_t = rho_t e_{t-1} + xi_t with e_1 = xi_1."""
+    """Run the AR(1) recursion e_t = rho_t e_{t-1} + xi_t with e_1 = xi_1.
+
+    The recursion runs along the last axis, on one path (n,) or a batch
+    of paths (N, n); every row gets the same operations as on its own.
+    """
     rho = np.asarray(rho, dtype=np.float64)
     xi = np.asarray(innovations, dtype=np.float64)
     if rho.shape != xi.shape:
-        raise ValueError("rho and innovations must have equal length")
-    if not np.any(rho):
-        return xi.copy()
+        raise ValueError("rho and innovations must have equal shape")
     eps = np.empty_like(xi)
-    eps[0] = xi[0]
-    for t in range(1, xi.size):
-        eps[t] = rho[t] * eps[t - 1] + xi[t]
+    eps[..., 0] = xi[..., 0]
+    for t in range(1, xi.shape[-1]):
+        eps[..., t] = rho[..., t] * eps[..., t - 1] + xi[..., t]
     return eps
 
 
-def _scenario_noise(rng: np.random.Generator, n: int, scenario: str) -> np.ndarray:
-    """Draw one noise path.  Draw order (rho, then innovations) is fixed."""
+def _scenario_noise(rng: np.random.Generator, n: int, scenario: str):
+    """Draw one path's ``(rho, innovations)``; ``rho`` is None for independent noise.
+
+    Draw order (rho, then innovations) is fixed.
+    """
     if scenario == "S1":
-        rho = np.zeros(n)
-        xi = rng.standard_normal(n)
-    elif scenario == "S1'":
-        rho = np.full(n, 0.7)
-        xi = rng.standard_normal(n)
-    elif scenario == "S2":
+        return None, rng.standard_normal(n)
+    if scenario == "S1'":
+        return np.full(n, 0.7), rng.standard_normal(n)
+    if scenario == "S2":
         rho = rng.uniform(0.0, 1.0, n)
-        xi = rng.standard_normal(n) * math.sqrt(2.0)
-    elif scenario == "S3":
-        rho = np.zeros(n)
-        xi = rng.standard_cauchy(n) * 0.3
-    else:  # pragma: no cover - spec validation prevents this
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return ar1_noise(rho, xi)
+        return rho, rng.standard_normal(n) * math.sqrt(2.0)
+    if scenario == "S3":
+        return None, rng.standard_cauchy(n) * 0.3
+    raise ValueError(f"unknown scenario {scenario!r}")  # pragma: no cover
 
 
 def _example_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _scenario_example(spec: ScenarioSpec, seed: int, index: int, with_change: bool):
+def _scenario_draws(spec: ScenarioSpec, seed: int, index: int, with_change: bool):
+    """Draw example ``index``'s metadata and noise ``(rho, innovations)`` from its sub-seed."""
     rng = _example_rng(seed, index)
     n = spec.n
     meta = {"index": index, "scenario": spec.scenario, "role": spec.role, "tau": None, "mu_right": None}
-    signal = np.zeros(n)
     if with_change:
         tau = int(rng.integers(2, n - 1))  # uniform on {2, ..., n-2}
         lo, hi = spec.magnitude_band
         b = snr_base(n, tau)
         magnitude = rng.uniform(lo * b, hi * b)
         sign = 1.0 if rng.integers(0, 2) else -1.0
-        mu_right = sign * magnitude
-        signal[tau:] = mu_right
         meta["tau"] = tau
-        meta["mu_right"] = float(mu_right)
-    values = signal + _scenario_noise(rng, n, spec.scenario)
-    return values, int(with_change), meta
+        meta["mu_right"] = float(sign * magnitude)
+    rho, xi = _scenario_noise(rng, n, spec.scenario)
+    return meta, rho, xi
+
+
+def _scenario_values(metas, rhos, xis) -> np.ndarray:
+    """Series (N, n): each example's step signal plus its noise path.
+
+    The AR(1) recursion runs once over all rows; independent noise
+    (``rho`` None) is used as drawn.
+    """
+    xi = np.asarray(xis)
+    noise = xi if rhos[0] is None else ar1_noise(np.asarray(rhos), xi)
+    signal = np.zeros(xi.shape)
+    for row, meta in zip(signal, metas):
+        if meta["tau"] is not None:
+            row[meta["tau"]:] = meta["mu_right"]
+    signal += noise
+    return signal
 
 
 def _shuffled(rows, labels, metas, seed: int) -> LabeledDataset:
@@ -234,20 +248,19 @@ def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     the no-change half is pure noise.  Deterministic given (spec, seed).
     """
     half = spec.size // 2
-    rows, labels, metas = [], [], []
-    for k in range(spec.size):
-        values, label, meta = _scenario_example(spec, seed, k, with_change=k < half)
-        rows.append(values)
-        labels.append(label)
-        metas.append(meta)
-    return _shuffled(rows, labels, metas, seed)
+    metas, rhos, xis = zip(*(_scenario_draws(spec, seed, k, with_change=k < half)
+                             for k in range(spec.size)))
+    labels = [int(k < half) for k in range(spec.size)]
+    return _shuffled(_scenario_values(metas, rhos, xis), labels, metas, seed)
 
 
 def regenerate_example(spec: ScenarioSpec, seed: int, index: int):
     """Rebuild example ``index`` (pre-shuffle position) of a scenario dataset."""
     if not 0 <= index < spec.size:
         raise ValueError(f"index must lie in [0, {spec.size}), got {index}")
-    return _scenario_example(spec, seed, index, with_change=index < spec.size // 2)
+    with_change = index < spec.size // 2
+    meta, rho, xi = _scenario_draws(spec, seed, index, with_change)
+    return _scenario_values([meta], [rho], [xi])[0], int(with_change), meta
 
 
 def _draw_in_band(rng, bounds, diff_band):

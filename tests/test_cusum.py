@@ -89,16 +89,19 @@ class TestTransform:
         n = x.size
         transform = cusum.cusum_transform
 
-        def close(got, want, scale):
+        def close(got, want, scale, gain=1.0):
             # Each entry is a weighted difference of prefix sums with weights
             # at most 1, so rounding moves it by about n * eps * sum|input|,
-            # and underflow by a few subnormal units per operation.
+            # and underflow by a few subnormal units per operation.  Scaling
+            # by ``a`` scales the underflow error of T(x) by |a| as well
+            # (x = [2.2e-311, 0], a = 36 misses 16 units by one), hence
+            # ``gain``.
             info = np.finfo(np.float64)
-            tol = 8 * n * (info.eps * scale + info.smallest_subnormal)
+            tol = 8 * n * (info.eps * scale + gain * info.smallest_subnormal)
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
         close(transform(x + y), transform(x) + transform(y), np.sum(np.abs(x) + np.abs(y)))
-        close(transform(a * x), a * transform(x), abs(a) * np.sum(np.abs(x)))
+        close(transform(a * x), a * transform(x), abs(a) * np.sum(np.abs(x)), max(1.0, abs(a)))
         close(transform(x + c), transform(x), np.sum(np.abs(x) + abs(c)))
 
     def test_rejects_non_finite(self):
@@ -277,6 +280,18 @@ class TestStepResponse:
         assert cusum.step_response(n, 5).shape == (n - 1,)
         with pytest.raises(ValueError, match="tau"):
             cusum.step_response(n, np.array([3, n]))
+
+    def test_rows_rise_to_the_change_and_fall_after_it(self):
+        # The exact fact grid-check rests on: in floating point, row tau
+        # is nondecreasing for i <= tau and nonincreasing for i >= tau, so
+        # a window's minimum around tau sits at one of its endpoints.
+        for n in range(16, 513):
+            taus = np.arange(1, n)
+            resp = cusum.step_response(n, taus)
+            i = np.arange(1, n - 1)  # compares positions i and i + 1
+            rising = i[None, :] < taus[:, None]
+            assert np.all((resp[:, 1:] >= resp[:, :-1]) | ~rising), n
+            assert np.all((resp[:, 1:] <= resp[:, :-1]) | rising), n
 
     def test_near_change_grid_floor_small_lengths(self):
         # Any scan point within half the shorter segment keeps at least

@@ -126,6 +126,34 @@ def test_values_roundtrip(tmp_path):
     np.testing.assert_array_equal(load_values(path), rows)
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(
+           lambda n: arrays(np.float64, st.tuples(st.integers(1, 6), st.just(n)),
+                            elements=FINITE)),
+       st.lists(st.integers(0, 7), max_size=4))
+def test_values_roundtrip_property(rows, blank_at):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.csv"
+        save_values(rows, path)
+        lines = path.read_text().splitlines()
+        for k in sorted(blank_at, reverse=True):  # blank lines are skipped on read
+            lines.insert(min(k, len(lines)), "")
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_values(path)
+    assert loaded.shape == rows.shape
+    assert loaded.tobytes() == rows.tobytes()  # bit-exact, signs of zero too
+
+
+def test_values_malformed_row_names_line(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("0.0,1.0\n\n1.0,oops\n")
+    with pytest.raises(ValueError, match=r"v\.csv:3: malformed row .*'oops'"):
+        load_values(path)
+    path.write_text("0.0,1.0\n1.0\n")
+    with pytest.raises(ValueError, match=r"v\.csv:2: expected 2 fields, found 1"):
+        load_values(path)
+
+
 def test_report_roundtrip_and_version(tmp_path):
     path = tmp_path / "r.json"
     write_report({"alpha": np.float64(0.25), "items": [np.int64(3)]}, path)

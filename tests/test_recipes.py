@@ -1,8 +1,12 @@
 """Smoke tests of the experiment recipes at reduced sizes."""
 
+import math
+
+import numpy as np
 import pytest
 
-from cpdlab.recipes import RECIPES, fig1a, run_recipe
+from cpdlab import cusum
+from cpdlab.recipes import RECIPES, fig1a, grid_check, run_recipe
 
 
 def test_registry_names():
@@ -31,3 +35,27 @@ def test_localisation_recipe_small():
 def test_bound_recipes_accept_rep_override():
     report = run_recipe("null-rate", 3, reps=2000)
     assert report["reps"] == 2000 and report["passed"] is True
+
+
+def _grid_check_full_windows(n):
+    """grid-check's worst ratio and violation count at length n, from every window entry."""
+    tau = np.arange(1, n)
+    i = np.arange(1, n)
+    reach = np.minimum(tau, n - tau) / 2.0
+    lo = np.ceil(tau - reach)[:, None]
+    hi = np.floor(tau + reach)[:, None]
+    resp = cusum.step_response(n, tau)
+    ratio = np.where((lo <= i) & (i <= hi), resp, np.inf).min(axis=1) / resp[tau - 1, tau - 1]
+    floor = math.sqrt(3.0) / 3.0
+    return float(ratio.min()), int(np.count_nonzero(ratio < floor - 1e-9))
+
+
+def test_grid_check_endpoints_equal_full_windows():
+    # Exactly, not approximately: length by length, then over the range.
+    reference = {n: _grid_check_full_windows(n) for n in range(16, 129)}
+    for n, (worst, violations) in reference.items():
+        report = grid_check(n_min=n, n_max=n)
+        assert (report["worst_ratio"], report["violations"]) == (worst, violations)
+    report = grid_check(n_min=16, n_max=128)
+    assert report["worst_ratio"] == min(worst for worst, _ in reference.values())
+    assert report["violations"] == sum(v for _, v in reference.values()) == 0

@@ -64,13 +64,16 @@ class TestScenarios:
             ScenarioSpec("S1", size=7)
 
     def test_regenerate_single_example(self):
-        spec = ScenarioSpec("S1'", size=24)
-        ds = simulate.gen_scenario(spec, seed=9)
-        for meta, row, label in zip(ds.metadata, ds.values, ds.labels):
-            if meta["index"] in (0, 13, 23):
-                values, lab, meta2 = simulate.regenerate_example(spec, 9, meta["index"])
-                np.testing.assert_array_equal(values, row)
-                assert lab == label and meta2 == meta
+        # One example on its own equals its row of the batched dataset,
+        # for the AR(1) scenarios and the independent ones alike.
+        for scenario in simulate.SCENARIOS:
+            spec = ScenarioSpec(scenario, size=24)
+            ds = simulate.gen_scenario(spec, seed=9)
+            for meta, row, label in zip(ds.metadata, ds.values, ds.labels):
+                if meta["index"] in (0, 13, 23):
+                    values, lab, meta2 = simulate.regenerate_example(spec, 9, meta["index"])
+                    assert values.tobytes() == row.tobytes()
+                    assert lab == label and meta2 == meta
 
 
 def test_ar1_noise_recursion_is_exact():
@@ -81,6 +84,17 @@ def test_ar1_noise_recursion_is_exact():
     assert eps[0] == xi[0]
     for t in range(1, 50):
         assert eps[t] == rho[t] * eps[t - 1] + xi[t]
+
+
+def test_ar1_noise_batch_equals_rows():
+    rng = np.random.default_rng(4)
+    rho = rng.uniform(0, 1, (7, 30))
+    xi = rng.standard_normal((7, 30))
+    batch = simulate.ar1_noise(rho, xi)
+    expected = np.stack([simulate.ar1_noise(r, x) for r, x in zip(rho, xi)])
+    assert batch.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="equal shape"):
+        simulate.ar1_noise(rho, xi[:, :-1])
 
 
 # LabeledDataset.fingerprint() of small datasets: any change to the
