@@ -30,9 +30,8 @@ print("\n== whitening autocorrelated noise ==")
 rho = 0.7
 gamma = np.linalg.cholesky(rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
 dirs_white = cp.glr_directions(cp.mean_change_design(n, noise_transform=gamma))
-null_stats = [cp.glr_statistic(gamma @ rng.standard_normal(n), dirs_white)[0]
-              for _ in range(200)]
-raw_stats = [cp.cusum_statistic(gamma @ rng.standard_normal(n))[0] for _ in range(200)]
+null_stats = cp.glr_statistic(rng.standard_normal((200, n)) @ gamma.T, dirs_white)[0]
+raw_stats = cp.cusum_statistic(rng.standard_normal((200, n)) @ gamma.T)[0]
 print(f"null scan level with whitening {np.mean(null_stats):.2f} "
       f"vs without {np.mean(raw_stats):.2f} (whitened stays calibrated)")
 

@@ -56,6 +56,7 @@ from .network import (
     TrainConfig,
     TrainingError,
     embed_cusum,
+    embed_directions,
     forward,
     grad_check,
     lag_product,

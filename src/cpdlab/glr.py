@@ -20,8 +20,9 @@ taking one series (n,) or a batch (N, n):
 - slope change: :func:`_slope_change`, per-hinge statistics from suffix
   sums of the straight-line residual and a closed-form hinge norm.
 
-:func:`glr_directions` and :func:`glr_statistic` remain for general and
-whitened designs.
+Any other design goes through :func:`glr_directions`, whose rows act on
+the raw series, so :func:`glr_statistic` is one product with a batch and
+:func:`cpdlab.network.embed_directions` gives the scan's exact ReLU form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cusum import _as_rows, _peak, as_series, cusum_statistic
+from .cusum import _as_rows, _peak, cusum_statistic
 
 __all__ = [
     "ChangeDesign",
@@ -113,24 +114,17 @@ class ChangeDesign:
         object.__setattr__(self, "change_covariates", covs)
         object.__setattr__(self, "noise_transform", gamma)
 
-    @property
-    def n(self) -> int:
-        return self.base.shape[0]
-
 
 @dataclass(frozen=True)
 class GlrDirections:
-    """Whitened unit scan directions derived from a :class:`ChangeDesign`.
+    """Scan directions of a :class:`ChangeDesign`, acting on the raw series.
 
-    ``directions[k]`` acts on the whitened series; rows flagged in
-    ``degenerate`` are zero and their statistic is fixed at 0.
+    ``|directions[k] . x|`` is the likelihood-ratio statistic for a change
+    at ``taus[k]``.  Without a noise transform the rows are unit vectors.
     """
 
-    n: int
     taus: np.ndarray
     directions: np.ndarray
-    degenerate: np.ndarray
-    noise_transform: np.ndarray | None = None
 
 
 def mean_change_design(n: int, noise_transform=None, taus=None) -> ChangeDesign:
@@ -154,18 +148,20 @@ def slope_change_design(n: int, noise_transform=None, taus=None) -> ChangeDesign
 
 
 def glr_directions(design: ChangeDesign) -> GlrDirections:
-    """Build the unit scan directions of the likelihood-ratio test for ``design``.
+    """Build the scan directions of the likelihood-ratio test for ``design``.
 
     Each change covariate is whitened, projected onto the orthocomplement
-    of the whitened base columns, and normalised.  Covariates whose
-    residual norm falls below ``DEGENERACY_TOL`` relative to the whitened
-    covariate are marked degenerate: a change there is indistinguishable
-    from the no-change model and its statistic is 0 by convention.
+    of the whitened base columns, and normalised to a unit direction
+    ``u``.  Covariates whose residual norm falls below ``DEGENERACY_TOL``
+    relative to the whitened covariate are left out: a change there is
+    indistinguishable from the no-change model.  With a noise transform
+    ``G`` each direction becomes ``G^-T u``, which acts on the raw series
+    as ``u`` acts on the whitened one.  Raises ``ValueError`` if every
+    covariate is degenerate, since the scan is then empty.
     """
     taus = np.array(sorted(design.change_covariates), dtype=np.int64)
     if taus.size == 0:
         raise ValueError("design has no change covariates")
-    n = design.n
     cmat = np.column_stack([design.change_covariates[t] for t in taus])
     gamma = design.noise_transform
     if gamma is None:
@@ -180,32 +176,21 @@ def glr_directions(design: ChangeDesign) -> GlrDirections:
     resid = c_w - q @ (q.T @ c_w)
     resid_norm = np.linalg.norm(resid, axis=0)
     c_norm = np.linalg.norm(c_w, axis=0)
-    degenerate = resid_norm < DEGENERACY_TOL * np.maximum(c_norm, 1e-300)
-    directions = np.zeros((taus.size, n))
-    ok = ~degenerate
-    directions[ok] = (resid[:, ok] / resid_norm[ok]).T
-    return GlrDirections(n, taus, directions, degenerate, gamma)
-
-
-def glr_statistic(x, dirs: GlrDirections) -> tuple[float, int]:
-    """Return ``(max_tau |u_tau . (G^-1 x)|, argmax tau)`` over non-degenerate taus.
-
-    Ties break toward the smallest tau.  Raises if every direction is
-    degenerate, since the scan is then empty.
-    """
-    x = as_series(x)
-    if x.size != dirs.n:
-        raise ValueError(f"series length {x.size} does not match design length {dirs.n}")
-    if bool(np.all(dirs.degenerate)):
+    keep = resid_norm >= DEGENERACY_TOL * np.maximum(c_norm, 1e-300)
+    if not keep.any():
         raise ValueError("all change directions are degenerate; nothing to scan")
-    if dirs.noise_transform is None:
-        y = x
-    else:
-        y = np.linalg.solve(dirs.noise_transform, x)
-    scores = np.abs(dirs.directions @ y)
-    scores[dirs.degenerate] = -np.inf
-    k = int(np.argmax(scores))
-    return float(scores[k]), int(dirs.taus[k])
+    units = resid[:, keep] / resid_norm[keep]
+    directions = units if gamma is None else np.linalg.solve(gamma.T, units)
+    return GlrDirections(taus[keep], np.ascontiguousarray(directions.T))
+
+
+def glr_statistic(x, dirs: GlrDirections):
+    """Return ``(max_tau |u_tau . x|, argmax tau)``, smallest tau on ties.
+
+    For a batch (N, n) both entries are length-N arrays; a series of
+    another length than the design raises ``ValueError``.
+    """
+    return _peak(np.abs(_as_rows(x) @ dirs.directions.T), dirs.taus)
 
 
 def _variance_change(x):

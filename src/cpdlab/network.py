@@ -1,16 +1,17 @@
-"""Feedforward ReLU networks that contain the CUSUM-type scans exactly.
+"""Feedforward ReLU networks that contain the linear scan statistics exactly.
 
 A network here maps an input vector through ``L >= 1`` hidden layers of
 shifted ReLUs, ``a -> max(W a - b, 0)``, then through a final linear
 layer to a score.  Binary networks label ``1`` when the score strictly
 exceeds the decision threshold; multiclass networks take the argmax.
 
-:func:`embed_cusum` builds the exact network form of the CUSUM
-classifier: one hidden unit per signed scan contrast with bias equal to
-the scan threshold, and a summing output unit thresholded at zero.  The
-sum of hinges is positive precisely when some contrast exceeds the
-threshold, so the network and the thresholded scan agree on every
-input whose statistic is not exactly at the threshold.
+:func:`embed_directions` builds the exact network form of a linear scan
+``max_k |u_k . x| > threshold``: one hidden unit per signed direction
+with bias equal to the threshold, and a summing output unit thresholded
+at zero.  The sum of hinges is positive precisely when some ``|u_k . x|``
+exceeds the threshold, so network and scan agree on every input whose
+statistic is not exactly at the threshold.  The directions are the CUSUM
+contrasts (:func:`embed_cusum`) or any :func:`cpdlab.glr.glr_directions`.
 
 All parameters of a network live in one contiguous float64 vector,
 ``Network.params``: every weight matrix in layer order, then every
@@ -64,6 +65,7 @@ __all__ = [
     "lag_product",
     "forward",
     "embed_cusum",
+    "embed_directions",
     "loss_and_gradient",
     "train",
     "grad_check",
@@ -246,7 +248,14 @@ def lag_product(x) -> np.ndarray:
     return x[..., :-1] * x[..., 1:]
 
 
-_STEP_NAMES = ("identity", "unit_scale", "square", "lag_product", "truncate")
+# Each preprocessing step by name; only ``truncate`` takes a parameter.
+_STEPS = {
+    "identity": lambda v: v,
+    "unit_scale": unit_scale,
+    "square": np.square,
+    "lag_product": lag_product,
+    "truncate": zscore_truncate,
+}
 
 
 @dataclass(frozen=True)
@@ -267,20 +276,16 @@ class Preprocessor:
         for channel in self.channels:
             steps = []
             for step in channel:
-                if isinstance(step, str):
-                    step = (step,)
-                name = step[0]
-                if name not in _STEP_NAMES:
+                name, *param = (step,) if isinstance(step, str) else step
+                if name not in _STEPS:
                     raise ValueError(f"unknown preprocessing step {name!r}")
                 if name == "truncate":
-                    if len(step) != 2 or not float(step[1]) > 0:
-                        raise ValueError("truncate step needs one positive parameter")
-                    step = (name, float(step[1]))
-                elif len(step) != 1:
+                    if len(param) != 1 or not 0 < float(param[0]) < math.inf:
+                        raise ValueError("truncate step needs one positive finite parameter")
+                    param = [float(param[0])]
+                elif param:
                     raise ValueError(f"preprocessing step {name!r} takes no parameter")
-                else:
-                    step = (name,)
-                steps.append(step)
+                steps.append((name, *param))
             norm.append(tuple(steps))
         object.__setattr__(self, "channels", tuple(norm))
 
@@ -299,18 +304,8 @@ class Preprocessor:
         parts = []
         for channel in self.channels:
             v = rows
-            for step in channel:
-                name = step[0]
-                if name == "identity":
-                    pass
-                elif name == "unit_scale":
-                    v = unit_scale(v)
-                elif name == "square":
-                    v = v**2
-                elif name == "lag_product":
-                    v = lag_product(v)
-                else:
-                    v = zscore_truncate(v, step[1])
+            for name, *param in channel:
+                v = _STEPS[name](v, *param)
             if v.shape[1] < n:
                 pad = np.zeros((v.shape[0], n - v.shape[1]))
                 v = np.hstack([v, pad])
@@ -372,29 +367,39 @@ def forward(net: Network, x):
     return scores, labels
 
 
-def embed_cusum(n: int, threshold: float, variant: str = "full") -> Network:
-    """Build the network that reproduces the CUSUM classifier exactly.
+def embed_directions(directions, threshold: float) -> Network:
+    """Build the network that labels 1 exactly when ``max_k |u_k . x| > threshold``.
 
-    The first layer stacks every scan contrast with both signs, each
-    hidden unit biased by the scan threshold; the output unit sums the
-    hinges and fires when the sum is positive.  ``variant="star"``
-    restricts the contrasts to the dyadic grid, giving a hidden width of
-    twice the grid size instead of 2n-2.
+    ``directions`` is a (k, n) matrix whose rows ``u_k`` are the scan
+    directions.  The first layer stacks every row with both signs, each
+    hidden unit biased by the threshold; the output unit sums the hinges
+    and fires when the sum is positive.  The hidden width is ``2k``.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if variant == "full":
-        rows = np.array(cusum_basis(n))
-    elif variant == "star":
-        rows = np.array(cusum_basis(n))[dyadic_grid(n) - 1]
-    else:
-        raise ValueError(f"variant must be 'full' or 'star', got {variant!r}")
+    rows = np.asarray(directions, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError(f"directions must be a non-empty (k, n) matrix, got shape {rows.shape}")
     width = 2 * rows.shape[0]
-    arch = Architecture(n, (width,), 1)
+    arch = Architecture(rows.shape[1], (width,), 1)
     w0 = np.vstack([rows, -rows])
     b1 = np.full(width, float(threshold))
     w1 = np.ones((1, width))
     return Network(arch, [w0, w1], [b1], np.zeros(1), threshold=0.0)
+
+
+def embed_cusum(n: int, threshold: float, variant: str = "full") -> Network:
+    """Build the network that reproduces the CUSUM classifier exactly.
+
+    This is :func:`embed_directions` on the scan contrasts of
+    :func:`cusum_basis`.  ``variant="star"`` restricts the contrasts to
+    the dyadic grid, giving a hidden width of twice the grid size instead
+    of 2n-2.
+    """
+    if variant not in ("full", "star"):
+        raise ValueError(f"variant must be 'full' or 'star', got {variant!r}")
+    rows = cusum_basis(n)
+    return embed_directions(rows if variant == "full" else rows[dyadic_grid(n) - 1], threshold)
 
 
 def _binary_loss(s: np.ndarray, y: np.ndarray):

@@ -110,13 +110,13 @@ def wilcoxon_statistic_bruteforce(x) -> tuple[float, int]:
 def zscore_truncate(x, z: float) -> np.ndarray:
     """Clip entries beyond ``z`` population standard deviations from the mean.
 
-    ``x`` is one series (n,) or a batch (N, n), clipped row by row.
-    Entries within the band are returned unchanged; the rest move to
-    ``mean +/- z*sd``.  A constant series (zero standard deviation) is
-    returned as is.
+    ``x`` is one series (n,) or a batch (N, n), clipped row by row, and
+    ``z`` must be positive and finite.  Entries within the band are
+    returned unchanged; the rest move to ``mean +/- z*sd``.  A constant
+    series (zero standard deviation) is returned as is.
     """
-    if not z > 0:
-        raise ValueError(f"z must be positive, got {z}")
+    if not 0 < z < np.inf:
+        raise ValueError(f"z must be positive and finite, got {z}")
     x = _as_rows(x)
     mean = x.mean(axis=-1, keepdims=True)
     sd = np.sqrt(np.mean((x - mean) ** 2, axis=-1, keepdims=True))

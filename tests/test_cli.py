@@ -277,6 +277,17 @@ def test_parameter_on_parameterless_step_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_truncation_level_exits_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["simulate", "--N", 10, "--seed", 5, "--out", data])
+    out = tmp_path / "net.json"
+    for spec in ("truncate:inf", "truncate:nan", "truncate:0"):
+        assert run(["train", "--data", data, "--epochs", 1, "--preprocess", spec,
+                    "--out", out]) == 2
+        assert "positive finite parameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_flat_csv_output(tmp_path):
     data = tmp_path / "d.csv"
     run(["simulate", "--scenario", "S1", "--N", 20, "--seed", 4, "--out", data])

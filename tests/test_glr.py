@@ -7,6 +7,20 @@ from hypothesis import strategies as st
 
 from cpdlab import cusum, glr
 from cpdlab.evaluate import scan_statistics
+from cpdlab.network import embed_directions, forward
+
+
+def _ar1_factor(n, rho):
+    """Lower Cholesky factor of the AR(1) correlation matrix rho^|i-j|."""
+    return np.linalg.cholesky(rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+
+
+# Designs for the batch and embedding tests of glr_statistic, whitened and not.
+DESIGNS = {
+    "mean": glr.mean_change_design,
+    "slope": glr.slope_change_design,
+    "ar1-mean": lambda n: glr.mean_change_design(n, noise_transform=_ar1_factor(n, 0.7)),
+}
 
 
 def test_mean_design_matches_cusum_contrasts():
@@ -38,29 +52,25 @@ def test_covariate_in_base_span_is_degenerate():
         change_covariates={3: np.full(n, 2.0), 5: (np.arange(1, n + 1) > 5).astype(float)},
     )
     dirs = glr.glr_directions(design)
-    assert dirs.degenerate.tolist() == [True, False]
+    assert dirs.taus.tolist() == [5]  # tau 3 is not scanned
     stat, tau = glr.glr_statistic(np.arange(n, dtype=float), dirs)
     assert tau == 5
     with pytest.raises(ValueError, match="degenerate"):
-        glr.glr_statistic(
-            np.ones(n),
-            glr.glr_directions(
-                glr.ChangeDesign(np.ones((n, 1)), {2: np.full(n, 3.0)})
-            ),
-        )
+        glr.glr_directions(glr.ChangeDesign(np.ones((n, 1)), {2: np.full(n, 3.0)}))
 
 
 def test_slope_directions_orthogonal_to_base():
     n = 30
     design = glr.slope_change_design(n)
     dirs = glr.glr_directions(design)
-    products = dirs.directions[~dirs.degenerate] @ design.base
+    assert dirs.taus[0] == 2  # the hinge at tau 1 is the trend itself: not scanned
+    products = dirs.directions @ design.base
     assert np.abs(products).max() < 1e-8
 
 
 def test_direction_unit_norms():
     dirs = glr.glr_directions(glr.slope_change_design(25))
-    norms = np.linalg.norm(dirs.directions[~dirs.degenerate], axis=1)
+    norms = np.linalg.norm(dirs.directions, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 
@@ -68,6 +78,8 @@ def test_constant_series_gives_zero_statistic():
     dirs = glr.glr_directions(glr.mean_change_design(12))
     stat, _ = glr.glr_statistic(np.full(12, 4.2), dirs)
     assert stat == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        glr.glr_statistic(np.full(11, 4.2), dirs)
 
 
 def test_two_point_statistic():
@@ -101,6 +113,23 @@ def test_whitening_removes_base_effects():
     stat2, tau2 = glr.glr_statistic(x + base_shift, dirs)
     assert stat1 == pytest.approx(stat2, abs=1e-8)
     assert tau1 == tau2
+
+
+def test_whitened_directions_act_on_the_raw_series():
+    # u . (G^-1 x) = (G^-T u) . x: scanning the raw series with the folded
+    # directions equals scanning the whitened series with the unit ones.
+    n = 30
+    gamma = _ar1_factor(n, 0.7)
+    design = glr.slope_change_design(n, noise_transform=gamma)
+    whitened = glr.ChangeDesign(np.linalg.solve(gamma, design.base),
+                                {tau: np.linalg.solve(gamma, c)
+                                 for tau, c in design.change_covariates.items()})
+    X = _series_rows(13, 50, n) @ gamma.T
+    stats, taus = glr.glr_statistic(X, glr.glr_directions(design))
+    ref, ref_taus = glr.glr_statistic(np.linalg.solve(gamma, X.T).T,
+                                      glr.glr_directions(whitened))
+    np.testing.assert_allclose(stats, ref, rtol=1e-9)
+    assert np.array_equal(taus, ref_taus)
 
 
 def test_singular_noise_transform_rejected():
@@ -152,16 +181,50 @@ def _series_rows(seed, rows, n):
     return X
 
 
+class TestGlrStatistic:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(4, 80),
+           st.sampled_from(sorted(DESIGNS)))
+    def test_batch_matches_rows(self, seed, rows, n, design):
+        dirs = glr.glr_directions(DESIGNS[design](n))
+        X = _series_rows(seed, rows, n)
+        stats, taus = glr.glr_statistic(X, dirs)
+        for x, stat, tau in zip(X, stats, taus):
+            ref, ref_tau = glr.glr_statistic(x, dirs)
+            assert stat == pytest.approx(ref, rel=1e-12)
+            second, top = np.sort(np.abs(dirs.directions @ x))[-2:]
+            if top - second > 1e-9:
+                assert tau == ref_tau
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_embedding_labels_equal_thresholded_scan(self, design):
+        n, lam, half = 100, 3.0, 2500
+        rng = np.random.default_rng(sorted(DESIGNS).index(design))
+        dirs = glr.glr_directions(DESIGNS[design](n))
+        X = rng.standard_normal((2 * half, n))
+        if design == "ar1-mean":
+            X = X @ _ar1_factor(n, 0.7).T
+        t = np.arange(1, n + 1)
+        taus = rng.integers(1, n, (half, 1))
+        X[:half] += rng.uniform(-1.0, 1.0, (half, 1)) * (t > taus)
+        X[:half] += rng.uniform(-0.2, 0.2, (half, 1)) * np.maximum(0, t - taus)
+        stats, _ = glr.glr_statistic(X, dirs)
+        fired = stats > lam
+        assert 0.2 < fired.mean() < 0.8
+        _, labels = forward(embed_directions(dirs.directions, lam), X)
+        margin = np.abs(stats - lam) > 1e-12 * lam
+        assert np.array_equal(labels[margin], fired[margin])
+
+
 class TestSlopeScan:
     @pytest.mark.parametrize("n", [4, 5, 17, 400])
     def test_matches_general_design(self, n):
         dirs = glr.glr_directions(glr.slope_change_design(n))
         X = _series_rows(n, 40, n)
         stats, taus = glr.lr_slope_scan(X)
-        for x, stat, tau in zip(X, stats, taus):
-            ref, ref_tau = glr.glr_statistic(x, dirs)
-            assert stat == pytest.approx(ref, rel=1e-8)
-            assert tau == ref_tau
+        ref, ref_taus = glr.glr_statistic(X, dirs)
+        np.testing.assert_allclose(stats, ref, rtol=1e-8)
+        assert np.array_equal(taus, ref_taus)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.floats(-1e3, 1e3),

@@ -17,6 +17,7 @@ from cpdlab.network import (
     TrainConfig,
     TrainingError,
     embed_cusum,
+    embed_directions,
     forward,
     grad_check,
     lag_product,
@@ -108,8 +109,9 @@ class TestPreprocessor:
         assert out.shape == (8,)
 
     def test_truncate_step_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            Preprocessor(((("truncate", -1.0),),))
+        for z in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite"):
+                Preprocessor(((("truncate", z),),))
         with pytest.raises(ValueError, match="unknown preprocessing step"):
             Preprocessor(((("whiten",),),))
 
@@ -216,6 +218,9 @@ class TestEmbedCusum:
             embed_cusum(10, 0.0)
         with pytest.raises(ValueError, match="variant"):
             embed_cusum(10, 1.0, "pruned")
+        for directions in (np.ones(5), np.ones((0, 5))):
+            with pytest.raises(ValueError, match="non-empty"):
+                embed_directions(directions, 1.0)
 
 
 class TestLossAndGradient:

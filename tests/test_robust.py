@@ -123,6 +123,11 @@ class TestZscoreTruncate:
                 expected = np.array([robust.zscore_truncate(r, z) for r in X])
                 assert np.array_equal(robust.zscore_truncate(batch, z), expected)
 
+    def test_rejects_level_not_positive_and_finite(self):
+        for z in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                robust.zscore_truncate(np.arange(5.0), z)
+
     def test_batch_rejects_non_finite_row(self):
         X = np.zeros((4, 10))
         X[3, 0] = np.nan
