@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -437,6 +436,14 @@ def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray):
     return float(losses.sum() / m), grad
 
 
+def _loss_head(net: Network, scores: np.ndarray, y):
+    """Mean cross-entropy of the output ``scores`` and its gradient, shaped like ``scores``."""
+    if net.is_binary:
+        loss, dscore = _binary_loss(scores[:, 0], np.asarray(y, dtype=np.float64))
+        return loss, dscore[:, None]
+    return _softmax_loss(scores, np.asarray(y, dtype=np.int64))
+
+
 def loss_and_gradient(net: Network, X, y, *, out: np.ndarray | None = None):
     """Cross-entropy loss of a batch and its exact parameter gradient.
 
@@ -457,11 +464,7 @@ def loss_and_gradient(net: Network, X, y, *, out: np.ndarray | None = None):
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     activations, scores = _forward_pass(net, X)
-    if net.is_binary:
-        loss, dscore = _binary_loss(scores[:, 0], np.asarray(y, dtype=np.float64))
-        g = dscore[:, None]
-    else:
-        loss, g = _softmax_loss(scores, np.asarray(y, dtype=np.int64))
+    loss, g = _loss_head(net, scores, y)
     if not math.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss!r}; inputs or parameters diverged")
 
@@ -607,14 +610,6 @@ def _divergence(arch: Architecture, params: np.ndarray, epoch: int, step: int,
     return TrainingError(f"training diverged in epoch {epoch}, step {step}: {cause}{where}")
 
 
-def _loss_only(net: Network, X, y) -> float:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _, scores = _forward_pass(net, X)
-    if net.is_binary:
-        return _binary_loss(scores[:, 0], np.asarray(y, dtype=np.float64))[0]
-    return _softmax_loss(scores, np.asarray(y, dtype=np.int64))[0]
-
-
 def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6) -> float:
     """Largest deviation of the analytic gradient from central differences.
 
@@ -662,9 +657,9 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
     for i in range(flat.size):
         keep = flat[i]
         flat[i] = keep + step
-        up = _loss_only(net, X, y)
+        up = _loss_head(net, _forward_pass(net, X)[1], y)[0]
         flat[i] = keep - step
-        down = _loss_only(net, X, y)
+        down = _loss_head(net, _forward_pass(net, X)[1], y)[0]
         flat[i] = keep
         numeric = (up - down) / (2.0 * step)
         denom = max(1.0, abs(analytic[i]), abs(numeric))
@@ -706,6 +701,20 @@ def _field(data: dict, name: str, convert):
         raise ValueError(f"network file field {name!r} is malformed: {exc}") from None
 
 
+def _json_int(value) -> int:
+    """A JSON integer as itself; a boolean or any other value raises ``TypeError``."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float; a boolean, a string or any other value raises ``TypeError``."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def network_from_json(text: str):
     """Inverse of :func:`network_to_json`; returns ``(network, preprocessor)``.
 
@@ -720,17 +729,18 @@ def network_from_json(text: str):
         raise ValueError(f"unsupported network schema version {version!r}")
     spec = _field(payload, "architecture", dict)
     arch = Architecture(
-        _field(spec, "input_dim", operator.index),
-        _field(spec, "hidden", lambda hidden: tuple(map(operator.index, hidden))),
-        _field(spec, "output_dim", operator.index),
+        _field(spec, "input_dim", _json_int),
+        _field(spec, "hidden", lambda hidden: tuple(map(_json_int, hidden))),
+        _field(spec, "output_dim", _json_int),
     )
     net = Network(
         arch,
         _field(payload, "weights", lambda ws: [np.asarray(w, dtype=np.float64) for w in ws]),
         _field(payload, "biases", lambda bs: [np.asarray(b, dtype=np.float64) for b in bs]),
         _field(payload, "output_bias", lambda b: np.asarray(b, dtype=np.float64)),
-        threshold=_field(payload, "threshold", float),
-        classes=None if payload.get("classes") is None else _field(payload, "classes", tuple),
+        threshold=_field(payload, "threshold", _json_number),
+        classes=(None if payload.get("classes") is None
+                 else _field(payload, "classes", lambda cs: tuple(map(_json_int, cs)))),
     )
     pre = (None if payload.get("preprocessor") is None
            else _field(payload, "preprocessor", Preprocessor.from_jsonable))

@@ -18,15 +18,18 @@ registry keys double as the ``reproduce`` subcommand names:
     snr-risk         Scan risk under an SNR-floor prior vs its bound.
     grid-check       Deterministic dyadic-neighbourhood response check.
 
-The scans of fig1a, fig1d and figb1 are tuned and scored by
-:func:`cpdlab.evaluate.scan_report` on the draws that fig1a, fig1d and
-table1 train and score their network on with one helper.
+fig1a, fig1d and figb1 share one run loop: run ``k`` draws its training
+set from seed ``seed + 1000 k`` and its test set from that seed plus 1,
+scores the scan with :func:`cpdlab.evaluate.scan_report` and the network
+with the one train-and-score helper, which table1 uses too.  The four
+Monte-Carlo recipes are one function with their own check and reps.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from functools import partial
 
 import numpy as np
 
@@ -46,48 +49,68 @@ from .simulate import LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multicla
 __all__ = ["RECIPES", "run_recipe"]
 
 
-def _network_report(train_set, test_set, pre: Preprocessor, hidden: tuple, output_dim: int,
-                    config: TrainConfig) -> EvalReport:
-    """Train a network on ``pre`` features of ``train_set`` and score it on ``test_set``."""
-    arch = Architecture(pre.output_dim(train_set.n), hidden, output_dim)
-    net = train(pre.apply(train_set.values), train_set.labels, arch, config)
-    _, predictions = forward(net, pre.apply(test_set.values))
-    return mer_from_predictions(test_set.labels, predictions, seed=config.seed,
-                                fingerprint=test_set.fingerprint())
+def _network_report(train_set, test_set, pre: Preprocessor, start, config: TrainConfig,
+                    output_dim: int = 1) -> EvalReport:
+    """Train a network on ``pre`` features of ``train_set`` and score it on ``test_set``.
 
-
-def _cusum_versus_network(recipe, scenario, seed, train_size, test_size, n_seeds, epochs):
-    """The tuned CUSUM scan versus a wide single-layer net over ``n_seeds`` runs.
-
-    Both are fitted to each run's training draw of ``scenario`` and scored on its test draw.
+    ``start`` is a tuple of hidden widths for a random start, or
+    ``"cusum"`` for the CUSUM scan embedded at the threshold tuned on the
+    training features.  That threshold is the report's ``threshold``,
+    which stays ``None`` for a random start.
     """
-    runs = []
-    for k in range(n_seeds):
+    feats = pre.apply(train_set.values)
+    if start == "cusum":
+        threshold = tune_threshold(batch_cusum_statistics(feats), train_set.labels)
+        init = embed_cusum(feats.shape[1], threshold)
+        arch = init.architecture
+    else:
+        threshold = init = None
+        arch = Architecture(feats.shape[1], start, output_dim)
+    net = train(feats, train_set.labels, arch, config, init=init)
+    _, predictions = forward(net, pre.apply(test_set.values))
+    return mer_from_predictions(test_set.labels, predictions, threshold=threshold,
+                                seed=config.seed, fingerprint=test_set.fingerprint())
+
+
+def _scan_versus_network(recipe, seed, scenario, method, pre, start, train_size, test_size,
+                         n_seeds, epochs, threshold_keys=("threshold",), **settings):
+    """The tuned ``method`` scan versus a trained network over ``n_seeds`` runs of ``scenario``.
+
+    Each run's threshold keys name the scan's threshold, then the
+    embedded start's; with one key the start's is left out.
+    """
+    def run(k):
+        # The datasets live in this call only, so one run's draws are
+        # freed before the next run draws its own.
         run_seed = seed + 1000 * k
         train_set = gen_scenario(ScenarioSpec(scenario, size=train_size, role="train"), run_seed)
         test_set = gen_scenario(ScenarioSpec(scenario, size=test_size, role="test"), run_seed + 1)
-        scan = scan_report("cusum", train_set, test_set, seed=run_seed)
-        net = _network_report(train_set, test_set, Preprocessor(), (198,), 1,
+        scan = scan_report(method, train_set, test_set, seed=run_seed)
+        net = _network_report(train_set, test_set, pre, start,
                               TrainConfig(epochs=epochs, seed=run_seed))
-        runs.append({"seed": run_seed, "threshold": scan.threshold,
-                     "cusum_mer": scan.mer, "network_mer": net.mer})
+        return {"seed": run_seed, **dict(zip(threshold_keys, (scan.threshold, net.threshold))),
+                f"{method}_mer": scan.mer, "network_mer": net.mer}
+
+    runs = [run(k) for k in range(n_seeds)]
     return {
         "recipe": recipe,
         "seed": seed,
         "scenario": scenario,
+        **settings,
         "train_size": train_size,
         "test_size": test_size,
         "epochs": epochs,
         "runs": runs,
         "median_network_mer": statistics.median(r["network_mer"] for r in runs),
-        "median_cusum_mer": statistics.median(r["cusum_mer"] for r in runs),
+        f"median_{method}_mer": statistics.median(r[f"{method}_mer"] for r in runs),
     }
 
 
 def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Gaussian scenario S1: wide single-layer network versus tuned CUSUM."""
-    report = _cusum_versus_network("fig1a", "S1", seed, train_size, test_size, n_seeds, epochs)
+    report = _scan_versus_network("fig1a", seed, "S1", "cusum", Preprocessor(), (198,),
+                                  train_size, test_size, n_seeds, epochs)
     report["median_mer_difference"] = statistics.median(
         r["network_mer"] - r["cusum_mer"] for r in report["runs"])
     return report
@@ -96,14 +119,17 @@ def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
 def fig1d(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
           n_seeds: int = 3, epochs: int = 200) -> dict:
     """Cauchy scenario S3: the trained network should beat tuned CUSUM."""
-    report = _cusum_versus_network("fig1d", "S3", seed, train_size, test_size, n_seeds, epochs)
+    report = _scan_versus_network("fig1d", seed, "S3", "cusum", Preprocessor(), (198,),
+                                  train_size, test_size, n_seeds, epochs)
     report["median_mer_gain"] = statistics.median(
         r["cusum_mer"] - r["network_mer"] for r in report["runs"])
     return report
 
 
-def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
-    """One seed of the truncated-net versus rank-scan comparison.
+def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
+          n_seeds: int = 3, epochs: int = 200, z: float = 3.0,
+          clip_passes: int = 12) -> dict:
+    """Cauchy scenario S3: truncation-preprocessed net versus tuned rank scan.
 
     A single z-score clip leaves the scale estimate inflated by the very
     outliers it is meant to tame, so the clip is applied ``clip_passes``
@@ -112,52 +138,14 @@ def _figb1_run(seed, train_size, test_size, epochs, z, clip_passes):
     threshold of its own input features; training can then only refine
     an already sound detector.
     """
-    train_set = gen_scenario(ScenarioSpec("S3", size=train_size, role="train"), seed)
-    test_set = gen_scenario(ScenarioSpec("S3", size=test_size, role="test"), seed + 1)
-    n = train_set.n
-
-    wil_report = scan_report("wilcoxon", train_set, test_set, seed=seed)
-
     pre = Preprocessor(((*(("truncate", z),) * clip_passes, ("unit_scale",)),))
-    feats_train = pre.apply(train_set.values)
-    feats_test = pre.apply(test_set.values)
-    scan_threshold = tune_threshold(batch_cusum_statistics(feats_train), train_set.labels)
-    init = embed_cusum(n, scan_threshold)
-    net = train(feats_train, train_set.labels, init.architecture,
-                TrainConfig(epochs=epochs, seed=seed), init=init)
-    _, predictions = forward(net, feats_test)
-    net_report = mer_from_predictions(
-        test_set.labels, predictions, seed=seed, fingerprint=test_set.fingerprint())
-    return {
-        "seed": seed,
-        "wilcoxon_threshold": wil_report.threshold,
-        "scan_threshold": scan_threshold,
-        "wilcoxon_mer": wil_report.mer,
-        "network_mer": net_report.mer,
-    }
-
-
-def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
-          n_seeds: int = 3, epochs: int = 200, z: float = 3.0,
-          clip_passes: int = 12) -> dict:
-    """Cauchy scenario S3: truncation-preprocessed net versus tuned rank scan."""
-    runs = [_figb1_run(seed + 1000 * k, train_size, test_size, epochs, z, clip_passes)
-            for k in range(n_seeds)]
-    margins = [r["network_mer"] - r["wilcoxon_mer"] for r in runs]
-    return {
-        "recipe": "figb1",
-        "seed": seed,
-        "scenario": "S3",
-        "truncation_z": z,
-        "clip_passes": clip_passes,
-        "train_size": train_size,
-        "test_size": test_size,
-        "epochs": epochs,
-        "runs": runs,
-        "median_network_mer": statistics.median(r["network_mer"] for r in runs),
-        "median_wilcoxon_mer": statistics.median(r["wilcoxon_mer"] for r in runs),
-        "median_mer_margin": statistics.median(margins),
-    }
+    report = _scan_versus_network("figb1", seed, "S3", "wilcoxon", pre, "cusum", train_size,
+                                  test_size, n_seeds, epochs,
+                                  ("wilcoxon_threshold", "scan_threshold"),
+                                  truncation_z=z, clip_passes=clip_passes)
+    report["median_mer_margin"] = statistics.median(
+        r["network_mer"] - r["wilcoxon_mer"] for r in report["runs"])
+    return report
 
 
 # The oracle's test of each change type: the scan it runs, the class it
@@ -212,8 +200,8 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
 
     pre = Preprocessor((("unit_scale",), (("square",), ("unit_scale",))))
     width = 4 * (spec_train.n.bit_length() - 1)
-    net_report = _network_report(train_set, test_set, pre, (width,) * 5, 5,
-                                 TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02))
+    net_report = _network_report(train_set, test_set, pre, (width,) * 5,
+                                 TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02), 5)
 
     return {
         "recipe": "table1",
@@ -232,25 +220,10 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
     }
 
 
-def thm_localisation(seed: int = 7, *, reps: int = 500) -> dict:
-    """Multi-change recovery: count and location accuracy of the localiser."""
-    check = monte_carlo_bound_check("localisation", reps=reps, seed=seed)
-    return {"recipe": "thm-localisation", "seed": seed, **check.to_jsonable()}
-
-
-def null_rate(seed: int = 7, *, reps: int = 20000) -> dict:
-    check = monte_carlo_bound_check("null_rate", reps=reps, seed=seed)
-    return {"recipe": "null-rate", "seed": seed, **check.to_jsonable()}
-
-
-def detection_miss(seed: int = 7, *, reps: int = 20000) -> dict:
-    check = monte_carlo_bound_check("detection_miss", reps=reps, seed=seed)
-    return {"recipe": "detection-miss", "seed": seed, **check.to_jsonable()}
-
-
-def snr_risk(seed: int = 7, *, reps: int = 20000) -> dict:
-    check = monte_carlo_bound_check("snr_risk", reps=reps, seed=seed)
-    return {"recipe": "snr-risk", "seed": seed, **check.to_jsonable()}
+def _bound_recipe(recipe: str, kind: str, seed: int = 7, *, reps: int) -> dict:
+    """The Monte-Carlo check ``kind`` of :func:`monte_carlo_bound_check` as a report."""
+    check = monte_carlo_bound_check(kind, reps=reps, seed=seed)
+    return {"recipe": recipe, "seed": seed, **check.to_jsonable()}
 
 
 def grid_check(seed: int = 7, *, n_min: int = 16, n_max: int = 512) -> dict:
@@ -301,10 +274,10 @@ RECIPES = {
     "fig1d": fig1d,
     "figb1": figb1,
     "table1": table1,
-    "thm-localisation": thm_localisation,
-    "null-rate": null_rate,
-    "detection-miss": detection_miss,
-    "snr-risk": snr_risk,
+    "thm-localisation": partial(_bound_recipe, "thm-localisation", "localisation", reps=500),
+    "null-rate": partial(_bound_recipe, "null-rate", "null_rate", reps=20000),
+    "detection-miss": partial(_bound_recipe, "detection-miss", "detection_miss", reps=20000),
+    "snr-risk": partial(_bound_recipe, "snr-risk", "snr_risk", reps=20000),
     "grid-check": grid_check,
 }
 

@@ -239,8 +239,16 @@ _MISSING = object()
     ("classes", 3, "'classes'"),
     ("preprocessor", 5, "'preprocessor'"),
     ("architecture.hidden", None, "'hidden'"),
+    ("threshold", "0.5", "'threshold'"),
+    ("threshold", True, "'threshold'"),
+    ("architecture.output_dim", True, "'output_dim'"),
+    ("architecture.hidden", [True], "'hidden'"),
+    ("classes", [1.5, 2, 3], "'classes'"),
+    ("classes", "abc", "'classes'"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
-        "no-weights", "null-threshold", "int-classes", "int-preprocessor", "null-hidden"])
+        "no-weights", "null-threshold", "int-classes", "int-preprocessor", "null-hidden",
+        "string-threshold", "bool-threshold", "bool-output-dim", "bool-hidden", "float-classes",
+        "string-classes"])
 def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])

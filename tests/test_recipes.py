@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from cpdlab import cusum
-from cpdlab.recipes import RECIPES, fig1a, grid_check, run_recipe
+from cpdlab.evaluate import tune_threshold
+from cpdlab.network import Preprocessor
+from cpdlab.recipes import RECIPES, fig1a, fig1d, figb1, grid_check, run_recipe
+from cpdlab.simulate import ScenarioSpec, gen_scenario
 
 
 def test_registry_names():
@@ -26,15 +29,50 @@ def test_fig1a_report_fields_small():
     assert 0.0 <= report["median_network_mer"] <= 1.0
 
 
+def test_fig1d_report_fields_small():
+    report = fig1d(3, train_size=60, test_size=200, n_seeds=2, epochs=3)
+    assert report.keys() == {"recipe", "seed", "scenario", "train_size", "test_size", "epochs",
+                             "runs", "median_network_mer", "median_cusum_mer",
+                             "median_mer_gain"}
+    assert (report["recipe"], report["scenario"]) == ("fig1d", "S3")
+    assert [r["seed"] for r in report["runs"]] == [3, 1003]
+    for r in report["runs"]:
+        assert r.keys() == {"seed", "threshold", "cusum_mer", "network_mer"}
+    assert 0.0 <= report["median_network_mer"] <= 1.0
+
+
+def test_figb1_report_fields_small():
+    z, passes = 3.0, 2
+    report = figb1(3, train_size=60, test_size=200, n_seeds=2, epochs=3, z=z,
+                   clip_passes=passes)
+    assert report.keys() == {"recipe", "seed", "scenario", "truncation_z", "clip_passes",
+                             "train_size", "test_size", "epochs", "runs",
+                             "median_network_mer", "median_wilcoxon_mer", "median_mer_margin"}
+    assert (report["recipe"], report["scenario"]) == ("figb1", "S3")
+    assert [r["seed"] for r in report["runs"]] == [3, 1003]
+    pre = Preprocessor(((*(("truncate", z),) * passes, ("unit_scale",)),))
+    for r in report["runs"]:
+        assert r.keys() == {"seed", "wilcoxon_threshold", "scan_threshold", "wilcoxon_mer",
+                            "network_mer"}
+        train = gen_scenario(ScenarioSpec("S3", size=60, role="train"), r["seed"])
+        stats = cusum.cusum_statistic(pre.apply(train.values))[0]
+        assert r["scan_threshold"] == tune_threshold(stats, train.labels)
+    assert 0.0 <= report["median_network_mer"] <= 1.0
+
+
 def test_localisation_recipe_small():
     report = run_recipe("thm-localisation", 3, reps=100)
     assert report["passed"] is True
     assert report["empirical"] <= 0.05
 
 
-def test_bound_recipes_accept_rep_override():
-    report = run_recipe("null-rate", 3, reps=2000)
-    assert report["reps"] == 2000 and report["passed"] is True
+@pytest.mark.parametrize("name, reps", [("thm-localisation", 100), ("null-rate", 2000),
+                                        ("detection-miss", 2000), ("snr-risk", 2000)],
+                         ids=["thm-localisation", "null-rate", "detection-miss", "snr-risk"])
+def test_bound_recipes_accept_rep_override(name, reps):
+    report = run_recipe(name, 3, reps=reps)
+    assert report["recipe"] == name
+    assert report["reps"] == reps and report["passed"] is True
 
 
 def _grid_check_full_windows(n):
