@@ -169,11 +169,10 @@ def _cmd_detect(args) -> int:
     report = mer_from_predictions(dataset.labels, preds, threshold=args.threshold,
                                   fingerprint=dataset.fingerprint())
     if str(args.out).endswith(".csv"):
-        lines = ["row,label,decision,statistic"]
-        for k, (label, pred, stat) in enumerate(zip(dataset.labels, preds, stats), start=1):
-            lines.append(f"{k},{int(label)},{int(pred)},{repr(float(stat))}")
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("row,label,decision,statistic\n")
+            for k, (label, pred, stat) in enumerate(zip(dataset.labels, preds, stats), start=1):
+                fh.write(f"{k},{int(label)},{int(pred)},{repr(float(stat))}\n")
     else:
         write_report({
             "command": "detect",

@@ -82,13 +82,19 @@ def cusum_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _step_contrast(head, tail, i, n: int):
-    """Contrast v_i . x of a length-``n`` series from its head and tail sums.
+def _step_weights(i, n: int):
+    """Weights ``(a, b)`` with ``v_i . x = a * head - b * tail`` for a length-``n`` series.
 
     ``head`` is the sum of the first ``i`` entries and ``tail`` the sum of
-    the remaining ``n - i``; all three broadcast against each other.
+    the remaining ``n - i``.
     """
-    return np.sqrt((n - i) / (i * n)) * head - np.sqrt(i / ((n - i) * n)) * tail
+    return np.sqrt((n - i) / (i * n)), np.sqrt(i / ((n - i) * n))
+
+
+def _step_contrast(head, tail, i, n: int):
+    """Contrast v_i . x from the head and tail sums; ``head``, ``tail`` and ``i`` broadcast."""
+    head_weight, tail_weight = _step_weights(i, n)
+    return head_weight * head - tail_weight * tail
 
 
 def cusum_transform(x) -> np.ndarray:
@@ -97,13 +103,21 @@ def cusum_transform(x) -> np.ndarray:
     ``x`` is one series (n,) or a batch (N, n); the result has shape
     (n-1,) or (N, n-1).  Evaluated in O(n) per series via prefix sums;
     entry ``i-1`` equals ``v_i . x``.  The map is linear in ``x`` and
-    annihilates constant shifts.
+    annihilates constant shifts.  The work is done in place: the prefix
+    sums become the result and the tail sums take one more buffer, so a
+    batch needs two arrays of its size.  The result is a view of the
+    leading n-1 columns of the prefix-sum buffer.
     """
     x = _as_rows(x)
     n = x.shape[-1]
+    head_weight, tail_weight = _step_weights(np.arange(1, n), n)
     s = np.cumsum(x, axis=-1)
     head = s[..., :-1]
-    return _step_contrast(head, s[..., -1:] - head, np.arange(1, n), n)
+    tail = np.subtract(s[..., -1:], head)
+    tail *= tail_weight
+    head *= head_weight
+    head -= tail
+    return head
 
 
 def _peak(t: np.ndarray, points: np.ndarray):
@@ -119,8 +133,8 @@ def cusum_statistic(x):
 
     For a batch (N, n) both entries are length-N arrays.
     """
-    t = np.abs(cusum_transform(x))
-    return _peak(t, np.arange(1, t.shape[-1] + 1))
+    t = cusum_transform(x)
+    return _peak(np.abs(t, out=t), np.arange(1, t.shape[-1] + 1))
 
 
 @functools.lru_cache(maxsize=64)

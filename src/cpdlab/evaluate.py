@@ -8,7 +8,9 @@ number appearing anywhere downstream can be regenerated bit-exactly.
 Monte-Carlo checks compare an empirical rate against a closed-form
 bound, allowing one-sided binomial slack of three standard deviations
 computed at the bound; the bounds are inequalities, so the slack only
-absorbs simulation noise.
+absorbs simulation noise.  Scans score a batch in blocks of rows, and
+the checks add their change signals and score block by block, so their
+scratch memory is a few blocks whatever the number of replications.
 """
 
 from __future__ import annotations
@@ -114,21 +116,41 @@ def tune_threshold(stats, labels, grid=None, grid_size: int = 200) -> float:
 
 def batch_cusum_statistics(X: np.ndarray) -> np.ndarray:
     """Full-scan statistics max_i |v_i . x| for every row of ``X``."""
-    return cusum.cusum_statistic(X)[0]
+    return scan_statistics("cusum", X)
+
+
+# Float64 entries per block of rows that a scan kernel gets at once
+# (512 KiB), so that each of its temporaries fits in a 2 MiB L2 cache
+# and a batch of any size needs only a few blocks of scratch memory.
+SCAN_BLOCK = 2**16
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Consecutive slices of at most ``SCAN_BLOCK // n`` (at least one) of ``rows`` rows."""
+    step = max(1, SCAN_BLOCK // max(n, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def scan_statistics(method: str, X: np.ndarray) -> np.ndarray:
     """Scan statistic of every row of ``X`` for a scan ``method``.
 
-    The table is built on each call, so that it holds whatever kernel
-    the modules bind at that moment, a traced wrapper included.
+    A batch (N, n) is scored in blocks of rows of at most ``SCAN_BLOCK``
+    entries, and the blocks' statistics are concatenated.  Every kernel
+    in the table scores each row on its own, so the result is bit for
+    bit that of one call on the whole batch.  The table is built on each
+    call, so that it holds whatever kernel the modules bind at that
+    moment, a traced wrapper included.
     """
     scans = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
              "wilcoxon": robust.wilcoxon_statistic, "variance": glr.lr_variance_scan,
              "slope": glr.lr_slope_scan}
     if method not in scans:
         raise ValueError(f"unknown method {method!r}")
-    return scans[method](X)[0]
+    X = np.asarray(X)
+    blocks = _row_blocks(len(X), X.shape[-1]) if X.ndim == 2 else []
+    if len(blocks) < 2:
+        return scans[method](X)[0]
+    return np.concatenate([scans[method](X[block])[0] for block in blocks])
 
 
 def scan_report(method: str, train_set, test_set, *, threshold: float | None = None,
@@ -250,19 +272,29 @@ def _typed_param(name: str, value, default):
 
 def _null_rate(rng, reps, /, *, n=100, eps=0.05):
     threshold = cusum.null_threshold(n, eps)
-    stats = batch_cusum_statistics(rng.standard_normal((reps, n)))
-    empirical = float(np.mean(stats > threshold))
-    return empirical, eps, {"n": n, "eps": eps, "threshold": threshold}
+    exceed = 0
+    for block in _row_blocks(reps, n):
+        # standard_normal fills values in order, so drawing block by block
+        # gives the same numbers as one (reps, n) draw.
+        rows = rng.standard_normal((block.stop - block.start, n))
+        exceed += int(np.count_nonzero(batch_cusum_statistics(rows) > threshold))
+    return exceed / reps, eps, {"n": n, "eps": eps, "threshold": threshold}
 
 
 def _detection_miss(rng, reps, /, *, n=100, eps=0.05, snr_multiplier=1.05):
     threshold = cusum.null_threshold(n, eps)
     target_snr = snr_multiplier * math.sqrt(8.0 * math.log(n / eps) / n)
-    X = rng.standard_normal((reps, n)) + _mean_change_signals(rng, reps, n, target_snr)
-    stats = batch_cusum_statistics(X)
-    empirical = float(np.mean(stats <= threshold))
-    return empirical, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
-                            "threshold": threshold}
+    # The steps come after all the noise in the stream, so the noise is
+    # one draw; each block gets its steps just before it is scored.
+    X = rng.standard_normal((reps, n))
+    taus, amplitudes = _mean_change_signals(rng, reps, n, target_snr)
+    misses = 0
+    for block in _row_blocks(reps, n):
+        rows = X[block]
+        rows += _steps(n, taus[block], amplitudes[block])
+        misses += int(np.count_nonzero(batch_cusum_statistics(rows) <= threshold))
+    return misses / reps, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
+                                "threshold": threshold}
 
 
 def _snr_risk(rng, reps, /, *, n=100, snr_bound=0.8, snr_multiplier=1.05,
@@ -271,21 +303,36 @@ def _snr_risk(rng, reps, /, *, n=100, snr_bound=0.8, snr_multiplier=1.05,
     labels = (rng.random(reps) < change_fraction).astype(np.int64)
     X = rng.standard_normal((reps, n))
     changed = np.flatnonzero(labels)
-    X[changed] += _mean_change_signals(rng, changed.size, n, snr_multiplier * snr_bound)
-    stats = batch_cusum_statistics(X)
-    empirical = float(np.mean((stats > threshold).astype(np.int64) != labels))
+    taus, amplitudes = _mean_change_signals(rng, changed.size, n, snr_multiplier * snr_bound)
+    errors = 0
+    for block in _row_blocks(reps, n):
+        rows = X[block]
+        first, last = np.searchsorted(changed, (block.start, block.stop))
+        rows[changed[first:last] - block.start] += _steps(n, taus[first:last],
+                                                          amplitudes[first:last])
+        decisions = (batch_cusum_statistics(rows) > threshold).astype(np.int64)
+        errors += int(np.count_nonzero(decisions != labels[block]))
     used = {"n": n, "snr_bound": snr_bound, "snr_multiplier": snr_multiplier,
             "change_fraction": change_fraction, "threshold": threshold}
-    return empirical, cusum.misclassification_bound(n, snr_bound), used
+    return errors / reps, cusum.misclassification_bound(n, snr_bound), used
 
 
 def _mean_change_signals(rng, count, n, target_snr):
-    """Step signals with SNR exactly ``target_snr`` at uniform locations and signs."""
+    """``(taus, amplitudes)`` of steps with SNR exactly ``target_snr``.
+
+    The locations are uniform on [1, n-1] and the signs uniform; see
+    :func:`_steps` for the signals themselves.
+    """
     taus = rng.integers(1, n, size=count)
     eta = taus / n
     deltas = target_snr / np.sqrt(eta * (1.0 - eta))
     signs = np.where(rng.integers(0, 2, size=count) == 1, 1.0, -1.0)
-    return (np.arange(n)[None, :] >= taus[:, None]) * (signs * deltas)[:, None]
+    return taus, signs * deltas
+
+
+def _steps(n, taus, amplitudes):
+    """Length-``n`` step signals, one row per change, of ``amplitudes`` after ``taus``."""
+    return (np.arange(n)[None, :] >= taus[:, None]) * amplitudes[:, None]
 
 
 def _localisation_failure_rate(rng, reps, /, *, window=128, length=3500,

@@ -715,6 +715,15 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _json_floats(value) -> np.ndarray:
+    """Nested lists of JSON numbers as a float64 array; a boolean or string raises ``TypeError``."""
+
+    def numbers(item):
+        return [numbers(v) for v in item] if isinstance(item, list) else _json_number(item)
+
+    return np.asarray(numbers(value), dtype=np.float64)
+
+
 def network_from_json(text: str):
     """Inverse of :func:`network_to_json`; returns ``(network, preprocessor)``.
 
@@ -725,8 +734,8 @@ def network_from_json(text: str):
     if not isinstance(payload, dict):
         raise ValueError("a network file must hold a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported network schema version {version!r}")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported network schema version {version!r} in 'schema_version'")
     spec = _field(payload, "architecture", dict)
     arch = Architecture(
         _field(spec, "input_dim", _json_int),
@@ -735,9 +744,9 @@ def network_from_json(text: str):
     )
     net = Network(
         arch,
-        _field(payload, "weights", lambda ws: [np.asarray(w, dtype=np.float64) for w in ws]),
-        _field(payload, "biases", lambda bs: [np.asarray(b, dtype=np.float64) for b in bs]),
-        _field(payload, "output_bias", lambda b: np.asarray(b, dtype=np.float64)),
+        _field(payload, "weights", lambda ws: [_json_floats(w) for w in ws]),
+        _field(payload, "biases", lambda bs: [_json_floats(b) for b in bs]),
+        _field(payload, "output_bias", _json_floats),
         threshold=_field(payload, "threshold", _json_number),
         classes=(None if payload.get("classes") is None
                  else _field(payload, "classes", lambda cs: tuple(map(_json_int, cs)))),

@@ -228,6 +228,19 @@ def test_non_finite_csv_exits_two(tmp_path):
 _MISSING = object()
 
 
+def _with_first_number(entry):
+    """An edit of a field that puts ``entry`` in place of the first number of its nested lists."""
+
+    def edit(nested):
+        inner = nested
+        while isinstance(inner[0], list):
+            inner = inner[0]
+        inner[0] = entry
+        return nested
+
+    return edit
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("threshold", float("nan"), "threshold"),
     ("threshold", float("inf"), "threshold"),
@@ -245,10 +258,17 @@ _MISSING = object()
     ("architecture.hidden", [True], "'hidden'"),
     ("classes", [1.5, 2, 3], "'classes'"),
     ("classes", "abc", "'classes'"),
+    ("schema_version", True, "'schema_version'"),
+    ("output_bias", ["0.5"], "'output_bias'"),
+    ("output_bias", [True], "'output_bias'"),
+    ("weights", _with_first_number("0.5"), "'weights'"),
+    ("weights", _with_first_number(None), "'weights'"),
+    ("biases", _with_first_number(True), "'biases'"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
         "no-weights", "null-threshold", "int-classes", "int-preprocessor", "null-hidden",
         "string-threshold", "bool-threshold", "bool-output-dim", "bool-hidden", "float-classes",
-        "string-classes"])
+        "string-classes", "bool-schema-version", "string-output-bias", "bool-output-bias",
+        "string-weight", "null-weight", "bool-bias"])
 def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])
@@ -263,6 +283,8 @@ def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, messag
         owner = payload[path[0]] if path else payload
         if value is _MISSING:
             del owner[key]
+        elif callable(value):
+            owner[key] = value(owner[key])
         else:
             owner[key] = value
     net = tmp_path / "net.json"

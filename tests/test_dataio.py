@@ -1,6 +1,8 @@
 """Tests for dataset CSV and JSON report round trips."""
 
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +154,89 @@ def test_values_malformed_row_names_line(tmp_path):
     path.write_text("0.0,1.0\n1.0\n")
     with pytest.raises(ValueError, match=r"v\.csv:2: expected 2 fields, found 1"):
         load_values(path)
+
+
+def test_written_bytes(tmp_path):
+    ds = LabeledDataset(np.array([[0.1, -0.0], [1e300, 5e-324]]), np.array([1, 0]),
+                        [{"tau": 1, "label": 1}, {"tau": None, "label": 0}])
+    save_dataset(ds, tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == (
+        b"label,tau,x1,x2\n1,1,0.1,-0.0\n0,,1e+300,5e-324\n")
+    save_values(ds.values, tmp_path / "v.csv")
+    assert (tmp_path / "v.csv").read_bytes() == b"0.1,-0.0\n1e+300,5e-324\n"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+def test_line_endings_blank_lines_and_final_newline(tmp_path, ending, final):
+    """Every newline convention, blank and whitespace-only lines, and no final newline."""
+    rows = ["label,tau,x1,x2", "", "1,1,0.5,-2.0", " \t ", "0,,3.0,4.0"]
+    path = tmp_path / "d.csv"
+    path.write_bytes((ending.join(rows) + (ending if final else "")).encode("ascii"))
+    ds = load_dataset(path)
+    assert ds.values.tobytes() == np.array([[0.5, -2.0], [3.0, 4.0]]).tobytes()
+    assert ds.labels.tolist() == [1, 0] and [m["tau"] for m in ds.metadata] == [1, None]
+    values = tmp_path / "v.csv"
+    values.write_bytes((ending.join(["", "0.5,-2.0", " \t ", "3.0,4.0"])
+                        + (ending if final else "")).encode("ascii"))
+    assert load_values(values).tobytes() == ds.values.tobytes()
+    bad = ["0.5,-2.0", "", "3.0,oops", "1.0"]
+    values.write_bytes((ending.join(bad) + (ending if final else "")).encode("ascii"))
+    message = "v.csv:3: malformed row (could not convert string to float: 'oops')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_values(values)
+    values.write_bytes((ending.join(bad[:2] + bad[3:]) + (ending if final else ""))
+                       .encode("ascii"))
+    with pytest.raises(ValueError, match=re.escape("v.csv:3: expected 2 fields, found 1")):
+        load_values(values)
+    path.write_bytes((ending.join(rows[:3] + ["0,,3.0,oops"]) + (ending if final else ""))
+                     .encode("ascii"))
+    message = "d.csv:4: malformed row (could not convert string to float: 'oops')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_only_newlines_end_lines(tmp_path, char):
+    """``str.splitlines`` breaks at these characters; the loaders do not.
+
+    A line holding only such a character is blank, and a field with one
+    between two numbers is malformed on its own line (split at it, the
+    second number would be a short row on the next line).
+    """
+    path = tmp_path / "v.csv"
+    path.write_text(f"0.5,1.0\n{char}\n2.0,3.0\n", encoding="ascii")
+    assert load_values(path).tobytes() == np.array([[0.5, 1.0], [2.0, 3.0]]).tobytes()
+    path.write_text(f"0.5,1.0\n2.0,3.0{char}4.0\n", encoding="ascii")
+    token = f"3.0{char}4.0"
+    message = f"v.csv:2: malformed row (could not convert string to float: {token!r})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_values(path)
+
+
+def test_load_memory_is_about_one_array(tmp_path):
+    """Writing holds one row at a time; reading holds the array and one row."""
+    ds = gen_scenario(ScenarioSpec("S2", size=3000, role="test"), seed=7)
+    path = tmp_path / "d.csv"
+    values = tmp_path / "v.csv"
+    peaks = {}
+    for name, call in [("save_dataset", lambda: save_dataset(ds, path)),
+                       ("load_dataset", lambda: load_dataset(path)),
+                       ("save_values", lambda: save_values(ds.values, values)),
+                       ("load_values", lambda: load_values(values))]:
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    array = ds.values.nbytes  # 2.3 MiB
+    # Measured: saves 0.04 MiB, load_dataset 3.2 MiB (with 3000 metadata
+    # dicts), load_values 2.6 MiB.  Reading every line first took 11.3 MiB
+    # and joining the written text 16.8 MiB.
+    assert peaks["save_dataset"] < 0.5 * 2**20 and peaks["save_values"] < 0.5 * 2**20
+    assert peaks["load_dataset"] < array + 1.5 * 2**20
+    assert peaks["load_values"] < array + 1.0 * 2**20
 
 
 def test_report_roundtrip_and_version(tmp_path):

@@ -2,15 +2,21 @@
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpdlab import cusum
+from cpdlab import cusum, glr, robust
 from cpdlab.evaluate import (
+    SCAN_BLOCK,
     batch_cusum_statistics,
     localisation_rmse,
     mer_from_predictions,
     monte_carlo_bound_check,
+    scan_statistics,
     tune_threshold,
 )
 from cpdlab.simulate import ScenarioSpec, gen_scenario
@@ -84,6 +90,85 @@ class TestBatchStatistics:
         batch = batch_cusum_statistics(X)
         for row, value in zip(X, batch):
             assert value == pytest.approx(cusum.cusum_statistic(row)[0], abs=1e-12)
+
+
+KERNELS = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
+           "wilcoxon": robust.wilcoxon_statistic, "variance": glr.lr_variance_scan,
+           "slope": glr.lr_slope_scan}
+
+
+class TestBlockedScans:
+    @pytest.mark.parametrize("method", sorted(KERNELS))
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(n=st.integers(4, 400), blocks=st.integers(1, 2), offset=st.integers(-1, 1),
+           ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_one_batch_call(self, method, n, blocks, offset, ties, seed):
+        """Around one and two blocks of rows, the blocked scan is the whole-batch kernel."""
+        rows = blocks * (SCAN_BLOCK // n) + offset
+        X = np.random.default_rng(seed).standard_normal((rows, n))
+        if ties:
+            X = np.round(X)
+        blocked = scan_statistics(method, X)
+        assert blocked.shape == (rows,)
+        assert blocked.tobytes() == KERNELS[method](X)[0].tobytes()
+
+    def test_single_series_and_bad_shapes(self):
+        x = np.random.default_rng(1).standard_normal(30)
+        assert scan_statistics("cusum", x) == cusum.cusum_statistic(x)[0]
+        assert scan_statistics("cusum", np.zeros((0, 30))).shape == (0,)
+        with pytest.raises(ValueError, match=r"got shape \(2, 3, 4\)"):
+            scan_statistics("cusum", np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="length >= 2"):
+            scan_statistics("cusum", np.zeros((SCAN_BLOCK + 1, 1)))
+
+
+def _whole_draw_rate(kind, reps, seed, n):
+    """The check's empirical rate, with every series drawn as one (reps, n) matrix."""
+    rng = np.random.default_rng(seed)
+
+    def signals(count, target_snr):
+        taus = rng.integers(1, n, size=count)
+        eta = taus / n
+        deltas = target_snr / np.sqrt(eta * (1.0 - eta))
+        signs = np.where(rng.integers(0, 2, size=count) == 1, 1.0, -1.0)
+        return (np.arange(n)[None, :] >= taus[:, None]) * (signs * deltas)[:, None]
+
+    if kind == "null_rate":
+        stats = cusum.cusum_statistic(rng.standard_normal((reps, n)))[0]
+        return float(np.mean(stats > cusum.null_threshold(n, 0.05)))
+    if kind == "detection_miss":
+        X = rng.standard_normal((reps, n))
+        X = X + signals(reps, 1.05 * math.sqrt(8.0 * math.log(n / 0.05) / n))
+        stats = cusum.cusum_statistic(X)[0]
+        return float(np.mean(stats <= cusum.null_threshold(n, 0.05)))
+    labels = (rng.random(reps) < 0.5).astype(np.int64)
+    X = rng.standard_normal((reps, n))
+    changed = np.flatnonzero(labels)
+    X[changed] += signals(changed.size, 1.05 * 0.8)
+    stats = cusum.cusum_statistic(X)[0]
+    return float(np.mean((stats > cusum.snr_threshold(n, 0.8)).astype(np.int64) != labels))
+
+
+@pytest.mark.parametrize("kind", ["null_rate", "detection_miss", "snr_risk"])
+@pytest.mark.parametrize("n", [37, 100])
+def test_blocked_checks_equal_one_whole_draw(kind, n):
+    reps = 2 * (SCAN_BLOCK // n) + 123  # not a multiple of the block
+    params = {"n": n} if kind != "snr_risk" else {"n": n, "snr_bound": 0.8}
+    check = monte_carlo_bound_check(kind, params, reps=reps, seed=11)
+    assert check.empirical == _whole_draw_rate(kind, reps, 11, n)
+
+
+def test_null_rate_memory_is_a_few_blocks():
+    """20,000 series of length 100 (15.3 MiB as one matrix) are scored in 512 KiB blocks."""
+    tracemalloc.start()
+    try:
+        monte_carlo_bound_check("null_rate", reps=20000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 1.7 MiB measured; a whole (20000, 100) draw with its scan
+    # temporaries takes 76 MiB.
+    assert peak < 4 * 2**20
 
 
 class TestBoundChecks:
