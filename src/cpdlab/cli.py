@@ -178,8 +178,8 @@ def _cmd_detect(args) -> int:
             "command": "detect",
             "method": args.method,
             "report": report.to_jsonable(),
-            "decisions": [int(p) for p in preds],
-            "statistics": [float(s) for s in stats],
+            "decisions": preds,
+            "statistics": stats,
         }, args.out)
     print(f"MER {report.mer:.4f} on {report.size} examples -> {args.out}")
     return 0

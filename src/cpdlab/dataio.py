@@ -8,14 +8,20 @@ identical inputs produce byte-identical files.  All output uses '.' as
 the decimal separator and newline-terminated rows regardless of locale.
 
 The writers write one row at a time to the open file, and the loaders
-stream the file: they bound the row count by counting newlines in fixed-size
-chunks, preallocate the float64 array, parse each non-blank line once
-with ``float`` as the file iterator yields it, and return the filled
-rows.  So beyond the array itself only one row at a time is held, as
-text and as Python floats.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``;
-the other characters that ``str.splitlines`` breaks at (``\\v``, ``\\f``,
-``\\x1c`` to ``\\x1e``) do not end a line.  A malformed row, a wrong
-field count or a non-finite value is reported with its line number.
+stream the file: they bound the row count by counting newlines in
+fixed-size chunks and preallocate the float64 array.  Each non-blank
+line is read once; its label and ``tau`` are parsed with ``int`` and its
+field count is checked as the file iterator yields it.  The numeric text
+of consecutive rows is gathered into blocks of about ``_BLOCK``
+characters, and numpy's C reader parses each block straight into its
+rows.  ``float`` decides every block that reader refuses, so the
+accepted input, the values and the messages are those of ``float``.
+Beyond the array only one block is held, as text and as parsed floats.
+A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; the other characters that
+``str.splitlines`` breaks at (``\\v``, ``\\f``, ``\\x1c`` to ``\\x1e``) do
+not end a line.  A malformed row, a wrong field count or a non-finite
+value is reported with its line number; the first error in the file
+wins.
 
 JSON reports carry a ``schema_version`` field and are written with
 sorted keys, so equal report dictionaries serialise to equal bytes.
@@ -43,6 +49,10 @@ __all__ = [
 REPORT_SCHEMA_VERSION = 1
 # Characters per read when counting the lines of a CSV file.
 _CHUNK = 1 << 16
+# Characters of numeric text that one call of numpy's C reader parses.
+_BLOCK = 1 << 18
+# numpy strips these at a field's edge; ``float`` rejects them there.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
@@ -74,28 +84,27 @@ def load_dataset(path) -> LabeledDataset:
         for j, name in enumerate(header[2:], start=1):
             if name != f"x{j}":
                 raise ValueError(f"{path}: expected column 'x{j}', found {name!r}")
-        values = np.empty((bound - 1, n))
-        linenos = np.empty(bound - 1, dtype=np.int64)
+        rows = _Rows(path, bound - 1, n)
         labels, metas = [], []
-        for r, (lineno, line) in enumerate(_data_lines(fh, start=1)):
-            fields = line.split(",")
-            if len(fields) != n + 2:
+        for lineno, line in _data_lines(fh, start=1):
+            if line.count(",") != n + 1:
+                rows.flush()
                 raise ValueError(
-                    f"{path}:{lineno}: expected {n + 2} fields, found {len(fields)}"
+                    f"{path}:{lineno}: expected {n + 2} fields, found {line.count(',') + 1}"
                 )
+            label_text, tau_text, numbers = line.split(",", 2)
             try:
-                label = int(fields[0])
-                tau = None if fields[1] == "" else int(fields[1])
-                values[r] = list(map(float, fields[2:]))
+                label = int(label_text)
+                tau = None if tau_text == "" else int(tau_text)
             except ValueError as exc:
+                rows.flush()
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            linenos[r] = lineno
+            rows.add(lineno, numbers)
             labels.append(label)
             metas.append({"tau": tau, "label": label})
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    values = _check_finite(path, values[:len(labels)], linenos)
-    return LabeledDataset(values, np.asarray(labels), metas)
+    return LabeledDataset(rows.filled(), np.asarray(labels), metas)
 
 
 def save_values(rows: np.ndarray, path) -> None:
@@ -108,26 +117,92 @@ def save_values(rows: np.ndarray, path) -> None:
 
 def load_values(path) -> np.ndarray:
     """Read plain series rows written by :func:`save_values`; non-finite values raise."""
-    values = linenos = None
-    count = 0
+    rows = None
     with open(path, encoding="ascii") as fh:
         bound = _line_bound(fh)
-        for count, (lineno, line) in enumerate(_data_lines(fh, start=0), start=1):
-            try:
-                row = list(map(float, line.split(",")))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if values is None:  # the first row sets the width
-                values = np.empty((bound, len(row)))
-                linenos = np.empty(bound, dtype=np.int64)
-            if len(row) != values.shape[1]:
+        for lineno, line in _data_lines(fh, start=0):
+            width = line.count(",") + 1
+            if rows is None:  # the first row sets the width
+                rows = _Rows(path, bound, width)
+            elif width != rows.values.shape[1]:
+                rows.flush()
+                _floats(path, lineno, line)  # a malformed field outranks the count
                 raise ValueError(
-                    f"{path}:{lineno}: expected {values.shape[1]} fields, found {len(row)}")
-            values[count - 1] = row
-            linenos[count - 1] = lineno
-    if values is None:
+                    f"{path}:{lineno}: expected {rows.values.shape[1]} fields, found {width}")
+            rows.add(lineno, line)
+    if rows is None:
         raise ValueError(f"{path}: empty values file")
-    return _check_finite(path, values[:count], linenos)
+    return rows.filled()
+
+
+class _Rows:
+    """A preallocated float64 array, filled from its rows' numeric text a block at a time.
+
+    ``add`` queues a row; once the queued text reaches ``_BLOCK``
+    characters the block is parsed.  A loader calls ``flush`` before it
+    raises a later row's error, so that the first error in the file wins.
+    """
+
+    def __init__(self, path, bound: int, n: int):
+        self.path = path
+        self.values = np.empty((bound, n))
+        self.linenos = np.empty(bound, dtype=np.int64)
+        self.count = 0
+        self._texts: list[str] = []
+        self._chars = 0
+
+    def add(self, lineno: int, text: str) -> None:
+        self.linenos[self.count] = lineno
+        self.count += 1
+        self._texts.append(text)
+        self._chars += len(text)
+        if self._chars >= _BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Parse the queued rows, raising the first malformed row's error."""
+        texts, start = self._texts, self.count - len(self._texts)
+        self._texts, self._chars = [], 0
+        if not texts:
+            return
+        rows = self.values[start:self.count]
+        if not _parse_block(texts, rows):
+            for r, text in enumerate(texts):
+                rows[r] = _floats(self.path, self.linenos[start + r], text)
+
+    def filled(self) -> np.ndarray:
+        """The rows added, once parsed and checked finite."""
+        self.flush()
+        return _check_finite(self.path, self.values[:self.count], self.linenos)
+
+
+def _parse_block(texts: list[str], rows: np.ndarray) -> bool:
+    """Parse ``texts`` into ``rows`` with numpy's C reader, or return False.
+
+    It returns False, leaving ``float`` to decide, when numpy refuses a
+    field (``float`` takes ``1_0``), when a text is empty (numpy skips
+    empty lines) or when a field holds a character numpy strips at its
+    edge and ``float`` rejects.  On any other field the two agree bit for
+    bit.
+    """
+    if "" in texts or any(c in text for text in texts for c in _NUMPY_ONLY_SPACE):
+        return False
+    try:
+        parsed = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return False
+    if parsed.shape != rows.shape:
+        return False
+    rows[...] = parsed
+    return True
+
+
+def _floats(path, lineno: int, text: str) -> list[float]:
+    """The comma-separated fields of ``text`` parsed by ``float``, or a malformed-row error."""
+    try:
+        return list(map(float, text.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
 
 
 def _line_bound(fh) -> int:
@@ -168,7 +243,7 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
@@ -184,6 +259,7 @@ def write_report(report: dict, path) -> None:
 
 def read_report(path) -> dict:
     payload = json.loads(Path(path).read_text(encoding="ascii"))
-    if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported report schema version")
+    version = payload.get("schema_version")
+    if type(version) is not int or version != REPORT_SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported report schema version {version!r}")
     return payload

@@ -147,7 +147,7 @@ class LabeledDataset:
         digest = hashlib.sha256()
         digest.update(np.asarray(self.values.shape, dtype=np.int64).tobytes())
         digest.update(self.labels.tobytes())
-        digest.update(np.ascontiguousarray(self.values).tobytes())
+        digest.update(np.ascontiguousarray(self.values))
         return digest.hexdigest()
 
 

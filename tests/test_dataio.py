@@ -1,9 +1,11 @@
 """Tests for dataset CSV and JSON report round trips."""
 
+import json
 import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpdlab import dataio
 from cpdlab.dataio import (
     load_dataset,
     load_values,
@@ -214,6 +217,133 @@ def test_only_newlines_end_lines(tmp_path, char):
         load_values(path)
 
 
+def reference_load(path, dataset: bool):
+    """The loaders' contract, row by row: ``float`` parses every field.
+
+    Returns ``(values, labels, taus)``, or raises the message of the
+    first error in the file: a wrong field count, a malformed field, or
+    (once every row is read) the first non-finite value.
+    """
+    with open(path, encoding="ascii") as fh:
+        lines = list(enumerate(fh, start=1))
+    width = len(lines.pop(0)[1].split(",")) if dataset else None
+    rows, labels, taus, linenos = [], [], [], []
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split(",")
+        if dataset and len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, found {len(fields)}")
+        try:
+            if dataset:
+                labels.append(int(fields[0]))
+                taus.append(None if fields[1] == "" else int(fields[1]))
+                fields = fields[2:]
+            row = [float(field) for field in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+        if width is None:  # the first row sets the width of a values file
+            width = len(row)
+        elif not dataset and len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, found {len(row)}")
+        rows.append(row)
+        linenos.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no data rows" if dataset else f"{path}: empty values file")
+    values = np.array(rows)
+    for r, c in np.argwhere(~np.isfinite(values))[:1]:
+        raise ValueError(f"{path}:{linenos[r]}: non-finite value {float(values[r, c])!r}")
+    return values, labels, taus
+
+
+def loaded(path, dataset: bool):
+    """``(values, labels, taus)`` from the loader under test, in ``reference_load``'s shape."""
+    if not dataset:
+        return load_values(path), [], []
+    ds = load_dataset(path)
+    return ds.values, ds.labels.tolist(), [m["tau"] for m in ds.metadata]
+
+
+def outcome(load, path, dataset: bool):
+    try:
+        values, labels, taus = load(path, dataset)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", (values.shape, values.tobytes(), labels, taus)
+
+
+# Fields that ``float`` accepts: shortest round-trip decimals, long digit
+# strings, and spellings numpy's reader refuses (``1_0``) or that are not
+# finite, with the ASCII whitespace ``float`` strips (``\v`` and ``\f`` too).
+STRIPPED = st.sampled_from(["", "", " ", "\t", "\v", "\f"])
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.lists(st.sampled_from("0123456789"), min_size=1, max_size=25).map("".join),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "-Infinity", "1_0", "1e5_0", "1.", ".5", "-0"]),
+)
+CLEAN = st.tuples(STRIPPED, NUMBERS, STRIPPED).map("".join)
+# Any field: a clean one, or pieces of one (digits, sign, point, exponents,
+# inf and nan, underscores, whitespace, and ``\x1c`` to ``\x1f``, which
+# numpy strips at a field's edge and ``float`` does not).  "" is an empty field.
+TOKENS = list("0123456789+-.eE_ \t\v\f\x1c\x1d\x1e\x1f") + ["inf", "nan", "e-5"]
+FIELDS = st.one_of(CLEAN, st.lists(st.sampled_from(TOKENS), max_size=6).map("".join))
+ROW_ENDS = st.sampled_from(["\n", "\n", "\n\n", "\n \t\n", "\n\x1c\n"])  # blank lines too
+
+
+@st.composite
+def csv_texts(draw, dataset: bool):
+    """Rows of 1-4 fields; in a mixed file each row may be dirty.
+
+    A clean row has the file's width and fields ``float`` accepts; a
+    dirty row has any width, any fields and, in a dataset, maybe a
+    malformed label.
+    """
+    n, mixed = draw(st.integers(1, 4)), draw(st.booleans())
+    lines = ["label,tau," + ",".join(f"x{j}" for j in range(1, n + 1)) + "\n"] if dataset else []
+    for _ in range(draw(st.integers(0, 6))):
+        dirty = mixed and draw(st.booleans())
+        width = draw(st.integers(1, 4)) if dirty else n
+        fields = draw(st.lists(FIELDS if dirty else CLEAN, min_size=width, max_size=width))
+        prefixes = ["0,,", "1,7,"] + (["x,,"] if dirty else [])
+        prefix = draw(st.sampled_from(prefixes)) if dataset else ""
+        lines.append(prefix + ",".join(fields) + draw(ROW_ENDS))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("dataset", [False, True], ids=["load_values", "load_dataset"])
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), block=st.integers(1, 64))
+def test_loaders_agree_with_float_per_field(dataset, data, block):
+    """Blocks that end inside the file parse as ``float`` parses each field.
+
+    The file is accepted exactly when the reference accepts it, with
+    bit-identical values; otherwise the message, line number included,
+    is the reference's.
+    """
+    text = data.draw(csv_texts(dataset))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(text.encode("ascii"))
+        expected = outcome(reference_load, path, dataset)
+        with mock.patch.object(dataio, "_BLOCK", block):
+            assert outcome(loaded, path, dataset) == expected
+
+
+def test_first_malformed_row_outranks_a_later_short_row(tmp_path):
+    """The pending block is parsed before a later row's field count is reported."""
+    values = tmp_path / "v.csv"
+    values.write_text("0.5,1.0\n2.0,3.0\n1.0,oops\n4.0\n")
+    message = "v.csv:3: malformed row (could not convert string to float: 'oops')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_values(values)
+    path = tmp_path / "d.csv"
+    path.write_text("label,tau,x1,x2\n0,,0.5,1.0\n1,1,oops,3.0\n0,,4.0\n")
+    message = "d.csv:3: malformed row (could not convert string to float: 'oops')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset(path)
+
+
 def test_load_memory_is_about_one_array(tmp_path):
     """Writing holds one row at a time; reading holds the array and one row."""
     ds = gen_scenario(ScenarioSpec("S2", size=3000, role="test"), seed=7)
@@ -246,6 +376,15 @@ def test_report_roundtrip_and_version(tmp_path):
     assert loaded["alpha"] == 0.25 and loaded["items"] == [3]
     path.write_text('{"schema_version": 42}')
     with pytest.raises(ValueError, match="schema version"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_report_version_must_be_an_int(tmp_path, version):
+    """``True`` and ``1.0`` compare equal to 1 but are not schema version 1."""
+    path = tmp_path / "r.json"
+    path.write_text(f'{{"schema_version": {version}}}')
+    with pytest.raises(ValueError, match=re.escape(f"schema version {json.loads(version)!r}")):
         read_report(path)
 
 

@@ -130,6 +130,17 @@ def test_scenario_fingerprint_is_pinned(scenario, role):
     assert ds.fingerprint() == SCENARIO_FINGERPRINTS[scenario, role]
 
 
+def test_fingerprint_of_a_strided_view_is_pinned():
+    """A non-contiguous ``values`` view hashes as its C-order copy would."""
+    values = np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]
+    metadata = [{"tau": None, "label": 0}, {"tau": 1, "label": 1}, {"tau": None, "label": 0}]
+    ds = simulate.LabeledDataset(values, np.array([0, 1, 0]), metadata)
+    assert not ds.values.flags.c_contiguous
+    expected = "23c8b7c7b7ad4bd8217e638b2c01a5ad64d8bb5dd5cdd9b71d403b0401f510ea"
+    assert ds.fingerprint() == expected
+    assert simulate.LabeledDataset(values.copy(), ds.labels, metadata).fingerprint() == expected
+
+
 # |before - after| band of each change class, per regime.
 CHANGE_BANDS = {
     "weak": {2: (0.25, 0.5), 3: (0.12, 0.24), 5: (0.006, 0.012)},
