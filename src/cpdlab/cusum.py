@@ -66,6 +66,18 @@ def _as_rows(x, min_len: int = 2) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+# Float64 entries per block of rows that a batch stage takes at once
+# (512 KiB), so that each of its temporaries fits in a 2 MiB L2 cache
+# and a batch of any size needs only a few blocks of scratch memory.
+SCAN_BLOCK = 2**16
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Consecutive slices of at most ``SCAN_BLOCK // n`` (at least one) of ``rows`` rows."""
+    step = max(1, SCAN_BLOCK // max(n, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
 @functools.lru_cache(maxsize=64)
 def cusum_basis(n: int) -> np.ndarray:
     """Return the (n-1, n) matrix whose i-th row is the step contrast v_i.

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import cusum, glr, robust
+from .cusum import _row_blocks
 from .localise import cusum_star_window_classifier, localise
 from .simulate import gen_piecewise
 
@@ -119,27 +120,15 @@ def batch_cusum_statistics(X: np.ndarray) -> np.ndarray:
     return scan_statistics("cusum", X)
 
 
-# Float64 entries per block of rows that a scan kernel gets at once
-# (512 KiB), so that each of its temporaries fits in a 2 MiB L2 cache
-# and a batch of any size needs only a few blocks of scratch memory.
-SCAN_BLOCK = 2**16
-
-
-def _row_blocks(rows: int, n: int) -> list[slice]:
-    """Consecutive slices of at most ``SCAN_BLOCK // n`` (at least one) of ``rows`` rows."""
-    step = max(1, SCAN_BLOCK // max(n, 1))
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-
-
 def scan_statistics(method: str, X: np.ndarray) -> np.ndarray:
     """Scan statistic of every row of ``X`` for a scan ``method``.
 
-    A batch (N, n) is scored in blocks of rows of at most ``SCAN_BLOCK``
-    entries, and the blocks' statistics are concatenated.  Every kernel
-    in the table scores each row on its own, so the result is bit for
-    bit that of one call on the whole batch.  The table is built on each
-    call, so that it holds whatever kernel the modules bind at that
-    moment, a traced wrapper included.
+    A batch (N, n) is scored in blocks of rows of at most
+    ``cusum.SCAN_BLOCK`` entries, and the blocks' statistics are
+    concatenated.  Every kernel in the table scores each row on its own,
+    so the result is bit for bit that of one call on the whole batch.
+    The table is built on each call, so that it holds whatever kernel
+    the modules bind at that moment, a traced wrapper included.
     """
     scans = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
              "wilcoxon": robust.wilcoxon_statistic, "variance": glr.lr_variance_scan,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cusum import _as_rows, _peak, cusum_statistic
+from .cusum import _as_rows, _peak, _row_blocks, cusum_statistic
 
 __all__ = [
     "ChangeDesign",
@@ -282,9 +282,21 @@ def adaptive_classify(x):
     ``RSS(line) - slope^2`` (tau in [2, n-2]) for a kink, and the
     variance change gains its likelihood ratio over the constant mean.
     Ties break toward the smallest label.  Returns one label for a
-    series (n,) and a length-N array for a batch (N, n).
+    series (n,) and a length-N array for a batch (N, n).  A batch is
+    scored a block of rows at a time (:func:`cpdlab.cusum._row_blocks`);
+    every row is scored on its own, so the labels do not depend on the
+    block size.
     """
     x = _as_rows(x, min_len=6)
+    rows = np.atleast_2d(x)
+    labels = np.empty(len(rows), dtype=np.int64)
+    for block in _row_blocks(*rows.shape):
+        labels[block] = _min_bic_labels(rows[block])
+    return int(labels[0]) if x.ndim == 1 else labels
+
+
+def _min_bic_labels(x):
+    """Min-BIC labels of :func:`adaptive_classify` for a validated batch ``x``."""
     n = x.shape[-1]
     _, var_stats, total = _variance_change(x)
     _, slope_stats, rss_line = _slope_change(x)
@@ -300,5 +312,4 @@ def adaptive_classify(x):
     deviance = n * np.log(np.maximum(rss / n, VARIANCE_FLOOR))
     deviance[..., 2] -= var_stats.max(axis=-1)
     bic = deviance + np.array([2.0, 4.0, 4.0, 3.0, 5.0]) * math.log(n)
-    labels = np.argmin(bic, axis=-1) + 1
-    return int(labels) if x.ndim == 1 else labels
+    return np.argmin(bic, axis=-1) + 1

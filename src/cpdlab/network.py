@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cusum import cusum_basis, dyadic_grid
+from .cusum import _row_blocks, cusum_basis, dyadic_grid
 from .robust import zscore_truncate
 
 __all__ = [
@@ -294,22 +294,24 @@ class Preprocessor:
     def apply(self, x) -> np.ndarray:
         """Transform one series (or a matrix row-wise) into feature vectors.
 
-        Non-finite entries are rejected with ``ValueError``.
+        Channel ``c`` fills columns ``c*n`` to ``(c+1)*n`` of one
+        preallocated output, a block of rows at a time
+        (:func:`cpdlab.cusum._row_blocks`), so a batch needs a few blocks
+        of scratch memory besides its input and output.  Every step works
+        on each row on its own, so the result does not depend on the
+        block size.  Non-finite entries are rejected with ``ValueError``.
         """
         x = _finite_array(x)
         single = x.ndim == 1
         rows = x[None, :] if single else x
         n = rows.shape[1]
-        parts = []
-        for channel in self.channels:
-            v = rows
-            for name, *param in channel:
-                v = _STEPS[name](v, *param)
-            if v.shape[1] < n:
-                pad = np.zeros((v.shape[0], n - v.shape[1]))
-                v = np.hstack([v, pad])
-            parts.append(v)
-        out = np.hstack(parts)
+        out = np.zeros((rows.shape[0], self.output_dim(n)))
+        for block in _row_blocks(rows.shape[0], n):
+            for c, channel in enumerate(self.channels):
+                v = rows[block]
+                for name, *param in channel:
+                    v = _STEPS[name](v, *param)
+                out[block, c * n:c * n + v.shape[1]] = v
         return out[0] if single else out
 
     def to_jsonable(self) -> list:
@@ -351,6 +353,11 @@ def forward(net: Network, x):
             f"input dimension {X.shape[1]} does not match network "
             f"input {net.architecture.input_dim}"
         )
+    # One product over the whole batch, not row blocks: BLAS splits a
+    # product by its row count, and with OpenBLAS 0.3.31 ``X @ W.T`` at
+    # 5000 x 100 x 198 differed in the last bits for every block size
+    # tried (2 to 4999 rows), which would move predictions.
+    # ``glr.glr_statistic`` is one product for the same reason.
     _, scores = _forward_pass(net, X)
     if net.is_binary:
         scores = scores[:, 0]

@@ -21,7 +21,11 @@ Every generator is a pure function of its spec and seed.  Example ``k``
 of a dataset is generated from the sub-seed ``SeedSequence(seed,
 spawn_key=(k,))``, so any single example can be regenerated without
 touching the others; the shuffle that mixes change and no-change halves
-uses one extra sub-seed.
+uses one extra sub-seed, ``(seed, N)``.  That shuffle order is drawn
+first, and each example is written straight into its shuffled row of
+one preallocated ``(N, n)`` array, so a dataset is held once: the AR(1)
+recursion of S1' and S2 runs in place on its rows, a block of rows at a
+time, and each change row then adds its step in place.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+
+from .cusum import _row_blocks
 
 __all__ = [
     "SCENARIOS",
@@ -172,11 +178,15 @@ def ar1_noise(rho: np.ndarray, innovations: np.ndarray) -> np.ndarray:
     xi = np.asarray(innovations, dtype=np.float64)
     if rho.shape != xi.shape:
         raise ValueError("rho and innovations must have equal shape")
-    eps = np.empty_like(xi)
-    eps[..., 0] = xi[..., 0]
-    for t in range(1, xi.shape[-1]):
-        eps[..., t] = rho[..., t] * eps[..., t - 1] + xi[..., t]
+    eps = xi.copy()
+    _ar1_in_place(rho, eps)
     return eps
+
+
+def _ar1_in_place(rho: np.ndarray, eps: np.ndarray) -> None:
+    """Turn the innovations held in ``eps`` into their AR(1) paths, in place."""
+    for t in range(1, eps.shape[-1]):
+        eps[..., t] = rho[..., t] * eps[..., t - 1] + eps[..., t]
 
 
 def _scenario_noise(rng: np.random.Generator, n: int, scenario: str):
@@ -217,27 +227,30 @@ def _scenario_draws(spec: ScenarioSpec, seed: int, index: int, with_change: bool
     return meta, rho, xi
 
 
-def _scenario_values(metas, rhos, xis) -> np.ndarray:
-    """Series (N, n): each example's step signal plus its noise path.
+def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.ndarray):
+    """Write examples ``indices`` into the rows of ``out`` and return their metadata.
 
-    The AR(1) recursion runs once over all rows; independent noise
-    (``rho`` None) is used as drawn.
+    Each row takes its example's innovations; for S1' and S2 the AR(1)
+    recursion then runs in place over the rows, and every change row
+    adds its step in place.
     """
-    xi = np.asarray(xis)
-    noise = xi if rhos[0] is None else ar1_noise(np.asarray(rhos), xi)
-    signal = np.zeros(xi.shape)
-    for row, meta in zip(signal, metas):
+    half = spec.size // 2
+    metas = []
+    rho = None
+    for row, index in enumerate(indices):
+        meta, path_rho, xi = _scenario_draws(spec, seed, index, with_change=index < half)
+        out[row] = xi
+        if path_rho is not None:
+            if rho is None:
+                rho = np.empty_like(out)
+            rho[row] = path_rho
+        metas.append(meta)
+    if rho is not None:
+        _ar1_in_place(rho, out)
+    for row, meta in zip(out, metas):
         if meta["tau"] is not None:
-            row[meta["tau"]:] = meta["mu_right"]
-    signal += noise
-    return signal
-
-
-def _shuffled(rows, labels, metas, seed: int) -> LabeledDataset:
-    """Dataset of the examples, shuffled with the sub-seed after the last example's."""
-    order = _example_rng(seed, len(rows)).permutation(len(rows))
-    return LabeledDataset(np.asarray(rows)[order], np.asarray(labels, dtype=np.int64)[order],
-                          [metas[i] for i in order])
+            row[meta["tau"]:] += meta["mu_right"]
+    return metas
 
 
 def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
@@ -246,21 +259,25 @@ def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     Change examples draw tau uniformly on {2, ..., n-2}, keep the left
     mean at zero and draw the right mean as +/- Unif(band * snr_base);
     the no-change half is pure noise.  Deterministic given (spec, seed).
+    Row ``i`` holds example ``order[i]`` of the shuffle order, which is
+    drawn first; the rows are filled a block at a time.
     """
-    half = spec.size // 2
-    metas, rhos, xis = zip(*(_scenario_draws(spec, seed, k, with_change=k < half)
-                             for k in range(spec.size)))
-    labels = [int(k < half) for k in range(spec.size)]
-    return _shuffled(_scenario_values(metas, rhos, xis), labels, metas, seed)
+    order = _example_rng(seed, spec.size).permutation(spec.size)
+    values = np.empty((spec.size, spec.n))
+    metas = []
+    for block in _row_blocks(spec.size, spec.n):
+        # Python ints index rows faster than numpy integers.
+        metas += _scenario_rows(spec, seed, order[block].tolist(), values[block])
+    return LabeledDataset(values, (order < spec.size // 2).astype(np.int64), metas)
 
 
 def regenerate_example(spec: ScenarioSpec, seed: int, index: int):
     """Rebuild example ``index`` (pre-shuffle position) of a scenario dataset."""
     if not 0 <= index < spec.size:
         raise ValueError(f"index must lie in [0, {spec.size}), got {index}")
-    with_change = index < spec.size // 2
-    meta, rho, xi = _scenario_draws(spec, seed, index, with_change)
-    return _scenario_values([meta], [rho], [xi])[0], int(with_change), meta
+    values = np.empty((1, spec.n))
+    meta = _scenario_rows(spec, seed, [index], values)[0]
+    return values[0], int(index < spec.size // 2), meta
 
 
 def _draw_in_band(rng, bounds, diff_band):
@@ -285,51 +302,61 @@ def _kinked_line(n: int, tau: int, slope_left: float, slope_right: float):
     return np.where(t <= tau, left, right)
 
 
+def _multiclass_example(spec: MulticlassSpec, seed: int, index: int, t: np.ndarray,
+                        out: np.ndarray) -> dict:
+    """Write example ``index`` of the mixture into the row ``out`` and return its metadata.
+
+    Examples are numbered class by class, so the label is
+    ``index // per_class + 1``.
+    """
+    n, margin = spec.n, spec.margin
+    bands = _DIFF_BANDS[spec.regime]
+    label = index // spec.per_class + 1
+    rng = _example_rng(seed, index)
+    meta = {"index": index, "label": label, "tau": None}
+    if label in (2, 3, 5):
+        tau = int(rng.integers(margin + 1, n - margin + 1))
+        meta["tau"] = tau
+    if label == 1:
+        mu = float(rng.uniform(*_MEAN_BOUNDS))
+        out[:] = mu + MEAN_NOISE_SD * rng.standard_normal(n)
+        meta.update(mu=mu)
+    elif label == 2:
+        mu1, mu2 = _draw_in_band(rng, _MEAN_BOUNDS, bands["mean"])
+        out[:] = np.where(t <= tau, mu1, mu2) + MEAN_NOISE_SD * rng.standard_normal(n)
+        meta.update(mu_left=mu1, mu_right=mu2)
+    elif label == 3:
+        sd1, sd2 = _draw_in_band(rng, _SD_BOUNDS, bands["sd"])
+        out[:] = np.where(t <= tau, sd1, sd2) * rng.standard_normal(n)
+        meta.update(sd_left=sd1, sd_right=sd2)
+    elif label == 4:
+        slope = float(rng.uniform(*_SLOPE_BOUNDS))
+        out[:] = slope * t + SLOPE_NOISE_SD * rng.standard_normal(n)
+        meta.update(slope=slope)
+    else:
+        s1, s2 = _draw_in_band(rng, _SLOPE_BOUNDS, bands["slope"])
+        out[:] = _kinked_line(n, tau, s1, s2) + SLOPE_NOISE_SD * rng.standard_normal(n)
+        meta.update(slope_left=s1, slope_right=s2)
+    return meta
+
+
 def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
     """Generate the five-class mixture with ``spec.per_class`` examples per class.
 
     Labels: 1 constant mean, 2 mean change, 3 variance change, 4 pure
     linear trend, 5 slope change.  Change locations are uniform on
     {margin+1, ..., n-margin}; parameters are redrawn per example with
-    the |difference| constraints of the regime.
+    the |difference| constraints of the regime.  As in
+    :func:`gen_scenario`, row ``i`` holds example ``order[i]`` of the
+    shuffle order drawn first.
     """
-    n, margin = spec.n, spec.margin
-    bands = _DIFF_BANDS[spec.regime]
-    t = np.arange(1, n + 1, dtype=np.float64)
-    rows, labels, metas = [], [], []
-    index = 0
-    for label in (1, 2, 3, 4, 5):
-        for _ in range(spec.per_class):
-            rng = _example_rng(seed, index)
-            meta = {"index": index, "label": label, "tau": None}
-            if label in (2, 3, 5):
-                tau = int(rng.integers(margin + 1, n - margin + 1))
-                meta["tau"] = tau
-            if label == 1:
-                mu = float(rng.uniform(*_MEAN_BOUNDS))
-                x = mu + MEAN_NOISE_SD * rng.standard_normal(n)
-                meta.update(mu=mu)
-            elif label == 2:
-                mu1, mu2 = _draw_in_band(rng, _MEAN_BOUNDS, bands["mean"])
-                x = np.where(t <= tau, mu1, mu2) + MEAN_NOISE_SD * rng.standard_normal(n)
-                meta.update(mu_left=mu1, mu_right=mu2)
-            elif label == 3:
-                sd1, sd2 = _draw_in_band(rng, _SD_BOUNDS, bands["sd"])
-                x = np.where(t <= tau, sd1, sd2) * rng.standard_normal(n)
-                meta.update(sd_left=sd1, sd_right=sd2)
-            elif label == 4:
-                slope = float(rng.uniform(*_SLOPE_BOUNDS))
-                x = slope * t + SLOPE_NOISE_SD * rng.standard_normal(n)
-                meta.update(slope=slope)
-            else:
-                s1, s2 = _draw_in_band(rng, _SLOPE_BOUNDS, bands["slope"])
-                x = _kinked_line(n, tau, s1, s2) + SLOPE_NOISE_SD * rng.standard_normal(n)
-                meta.update(slope_left=s1, slope_right=s2)
-            rows.append(x)
-            labels.append(label)
-            metas.append(meta)
-            index += 1
-    return _shuffled(rows, labels, metas, seed)
+    size = 5 * spec.per_class
+    order = _example_rng(seed, size).permutation(size)
+    values = np.empty((size, spec.n))
+    t = np.arange(1, spec.n + 1, dtype=np.float64)
+    metas = [_multiclass_example(spec, seed, index, t, row)
+             for index, row in zip(order.tolist(), values)]
+    return LabeledDataset(values, order // spec.per_class + 1, metas)
 
 
 def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0,

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdlab import cusum, glr, robust
+from cpdlab.cusum import SCAN_BLOCK
 from cpdlab.evaluate import (
-    SCAN_BLOCK,
     batch_cusum_statistics,
     localisation_rmse,
     mer_from_predictions,

