@@ -2,9 +2,11 @@
 
 Every command is a pure function of its arguments; the seed comes from
 ``--seed``, falling back to the ``CPD_SEED`` environment variable and
-then to 7.  Exit codes: 0 success, 1 runtime failure, 2 invalid
-configuration or arguments, which includes an option that the chosen use
-of its command does not read.
+then to 7.  Each option is declared once, in one spelling (the dataset
+size is ``--N``), and the scan names are ``evaluate.SCAN_METHODS``.
+Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
+arguments, which includes an option that the chosen use of its command
+does not read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .dataio import (
     save_values,
     write_report,
 )
-from .evaluate import mer_from_predictions, scan_report, scan_statistics
+from .evaluate import SCAN_METHODS, mer_from_predictions, scan_report, scan_statistics
 from .localise import cusum_star_window_classifier, localise
 from .network import (
     Architecture,
@@ -105,8 +107,11 @@ def _check_options(args, use: str) -> None:
     unread = sorted(set(_given(args, *vars(args))) - _READS[args.command, use]
                     - {"command", "func", "out"})
     if unread:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        raise ValueError(f"{args.command} with {use} does not read {flags}")
+        # Name each option by the flag the parser declares for it (``size`` is ``--N``).
+        (commands,) = _build_parser()._subparsers._group_actions
+        flags = {a.dest: a.option_strings for a in commands.choices[args.command]._actions}
+        raise ValueError(f"{args.command} with {use} does not read "
+                         + ", ".join("/".join(flags[name]) for name in unread))
     threshold = getattr(args, "threshold", None)
     if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"--threshold must be a finite positive number, got {threshold}")
@@ -251,24 +256,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Change-point detection lab: scans, trainable detectors, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="random seed (falls back to CPD_SEED, then 7)")
+    detector = argparse.ArgumentParser(add_help=False)
+    detector.add_argument("--method", default="cusum", choices=(*SCAN_METHODS, "net"))
+    detector.add_argument("--threshold", type=float)
+    detector.add_argument("--net", help="network JSON (method 'net')")
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, help="random seed (falls back to CPD_SEED, then 7)")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.add_argument("--out", required=True, help="output file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="generate a labelled dataset CSV")
-    add_common(p)
+    p = command("simulate", _cmd_simulate, "generate a labelled dataset CSV", seeded)
     p.add_argument("--scenario", help="S1 (default), S1', S2 or S3")
     p.add_argument("--multiclass", choices=("weak", "strong"),
                    help="generate the five-class mixture instead of a scenario")
     p.add_argument("--n", type=int, help="series length (default 100)")
-    p.add_argument("--N", "--size", dest="size", type=int, help="dataset size (default 700)")
+    p.add_argument("--N", dest="size", type=int, help="dataset size (default 700)")
     p.add_argument("--per-class", type=int, help="multiclass examples per class (default 500)")
     p.add_argument("--role", choices=("train", "test"), help="train (default) or test")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("train", help="train a network on a dataset CSV")
-    add_common(p)
+    p = command("train", _cmd_train, "train a network on a dataset CSV", seeded)
     p.add_argument("--data", required=True)
     p.add_argument("--hidden", default="198", help="comma-separated hidden widths")
     p.add_argument("--epochs", type=int, default=200)
@@ -278,46 +288,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="inverse time decay rate applied per epoch")
     p.add_argument("--preprocess", default="unit_scale",
                    help="channels separated by '|', steps by '+', e.g. 'truncate:3+unit_scale'")
-    p.add_argument("--out", required=True, help="output network JSON path")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("detect", help="run a detector over a dataset CSV")
-    p.add_argument("--method", default="cusum",
-                   choices=("cusum", "cusum-star", "wilcoxon", "variance", "slope", "net"))
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--net", help="network JSON (method 'net')")
+    p = command("detect", _cmd_detect, "run a detector over a dataset CSV", detector)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("localise", help="estimate change points in long series")
+    p = command("localise", _cmd_localise, "estimate change points in long series")
     p.add_argument("--data", required=True, help="CSV of plain series rows")
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--threshold", type=float)
     p.add_argument("--snr-bound", type=float,
                    help="derive the dyadic-scan threshold from an SNR floor")
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_localise)
 
-    p = sub.add_parser("evaluate", help="score a detector on a test CSV")
-    add_common(p)
-    p.add_argument("--method", default="cusum",
-                   choices=("cusum", "cusum-star", "wilcoxon", "variance", "slope", "net"))
+    p = command("evaluate", _cmd_evaluate, "score a detector on a test CSV", seeded, detector)
     p.add_argument("--test", required=True)
     p.add_argument("--train", help="training CSV for threshold tuning")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--net")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("reproduce", help="run a named experiment recipe")
-    add_common(p)
+    p = command("reproduce", _cmd_reproduce, "run a named experiment recipe", seeded)
     p.add_argument("recipe", choices=sorted(RECIPES))
     p.add_argument("--reps", type=int, help="override replication count where applicable")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reproduce)
-
     return parser
 
 

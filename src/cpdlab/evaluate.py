@@ -26,7 +26,11 @@ from .cusum import _row_blocks
 from .localise import cusum_star_window_classifier, localise
 from .simulate import gen_piecewise
 
+# The names of the scan methods: the keys of :func:`scan_statistics`' kernel table.
+SCAN_METHODS = ("cusum", "cusum-star", "wilcoxon", "variance", "slope")
+
 __all__ = [
+    "SCAN_METHODS",
     "EvalReport",
     "BoundCheck",
     "LocalisationErrorReport",
@@ -130,9 +134,9 @@ def scan_statistics(method: str, X: np.ndarray) -> np.ndarray:
     The table is built on each call, so that it holds whatever kernel
     the modules bind at that moment, a traced wrapper included.
     """
-    scans = {"cusum": cusum.cusum_statistic, "cusum-star": cusum.cusum_star_statistic,
-             "wilcoxon": robust.wilcoxon_statistic, "variance": glr.lr_variance_scan,
-             "slope": glr.lr_slope_scan}
+    scans = dict(zip(SCAN_METHODS, (cusum.cusum_statistic, cusum.cusum_star_statistic,
+                                    robust.wilcoxon_statistic, glr.lr_variance_scan,
+                                    glr.lr_slope_scan)))
     if method not in scans:
         raise ValueError(f"unknown method {method!r}")
     X = np.asarray(X)

@@ -558,7 +558,7 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
         if not np.all(np.isin(y, (0, 1))):
             raise ValueError("binary training labels must be 0 or 1")
     else:
-        values = np.unique(y)
+        values, targets = np.unique(y, return_inverse=True)
         if values.dtype.kind not in "biu" and not (
                 values.dtype.kind == "f"
                 and np.all(np.isfinite(values) & (values == np.trunc(values)))):
@@ -568,8 +568,6 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
             raise ValueError(
                 f"{len(classes)} distinct labels but output_dim {arch.output_dim}"
             )
-        lookup = {c: i for i, c in enumerate(classes)}
-        targets = np.array([lookup[int(v)] for v in y], dtype=np.int64)
 
     if init is not None and init.architecture != arch:
         raise ValueError("init network architecture does not match arch")

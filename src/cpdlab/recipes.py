@@ -67,6 +67,7 @@ def _network_report(train_set, test_set, pre: Preprocessor, start, config: Train
         threshold = init = None
         arch = Architecture(feats.shape[1], start, output_dim)
     net = train(feats, train_set.labels, arch, config, init=init)
+    del feats  # unread after training: free it before the test features are made
     _, predictions = forward(net, pre.apply(test_set.values))
     return mer_from_predictions(test_set.labels, predictions, threshold=threshold,
                                 seed=config.seed, fingerprint=test_set.fingerprint())

@@ -8,6 +8,7 @@ import pytest
 from cpdlab import cli, cusum
 from cpdlab.cli import main
 from cpdlab.dataio import load_dataset, save_values
+from cpdlab.evaluate import SCAN_METHODS, scan_statistics
 from cpdlab.network import (Architecture, Preprocessor, _init_network, embed_cusum,
                              network_to_json)
 from cpdlab.recipes import RECIPES
@@ -341,3 +342,95 @@ def test_runtime_failure_exits_one(tmp_path):
         code = run(["train", "--data", data, "--hidden", "4", "--epochs", 5,
                     "--learning-rate", "1e155", "--seed", 0, "--out", out])
     assert code == 1
+
+
+# Every option of every command: flags, dest, default, type, choices and
+# required.  Editing this table changes what a user can type.
+_METHODS = ("cusum", "cusum-star", "wilcoxon", "variance", "slope", "net")
+_RECIPES = ("detection-miss", "fig1a", "fig1d", "figb1", "grid-check", "null-rate", "snr-risk",
+            "table1", "thm-localisation")
+_OPTIONS = {
+    "simulate": [
+        (("--seed",), "seed", None, int, None, False),
+        (("--scenario",), "scenario", None, None, None, False),
+        (("--multiclass",), "multiclass", None, None, ("weak", "strong"), False),
+        (("--n",), "n", None, int, None, False),
+        (("--N",), "size", None, int, None, False),
+        (("--per-class",), "per_class", None, int, None, False),
+        (("--role",), "role", None, None, ("train", "test"), False),
+        (("--out",), "out", None, None, None, True),
+    ],
+    "train": [
+        (("--seed",), "seed", None, int, None, False),
+        (("--data",), "data", None, None, None, True),
+        (("--hidden",), "hidden", "198", None, None, False),
+        (("--epochs",), "epochs", 200, int, None, False),
+        (("--batch-size",), "batch_size", 32, int, None, False),
+        (("--learning-rate",), "learning_rate", 1e-3, float, None, False),
+        (("--lr-decay",), "lr_decay", 0.0, float, None, False),
+        (("--preprocess",), "preprocess", "unit_scale", None, None, False),
+        (("--out",), "out", None, None, None, True),
+    ],
+    "detect": [
+        (("--method",), "method", "cusum", None, _METHODS, False),
+        (("--threshold",), "threshold", None, float, None, False),
+        (("--net",), "net", None, None, None, False),
+        (("--data",), "data", None, None, None, True),
+        (("--out",), "out", None, None, None, True),
+    ],
+    "localise": [
+        (("--data",), "data", None, None, None, True),
+        (("--window",), "window", None, int, None, True),
+        (("--threshold",), "threshold", None, float, None, False),
+        (("--snr-bound",), "snr_bound", None, float, None, False),
+        (("--gamma",), "gamma", 0.5, float, None, False),
+        (("--out",), "out", None, None, None, True),
+    ],
+    "evaluate": [
+        (("--seed",), "seed", None, int, None, False),
+        (("--method",), "method", "cusum", None, _METHODS, False),
+        (("--test",), "test", None, None, None, True),
+        (("--train",), "train", None, None, None, False),
+        (("--threshold",), "threshold", None, float, None, False),
+        (("--net",), "net", None, None, None, False),
+        (("--out",), "out", None, None, None, True),
+    ],
+    "reproduce": [
+        (("--seed",), "seed", None, int, None, False),
+        ((), "recipe", None, None, _RECIPES, True),
+        (("--reps",), "reps", None, int, None, False),
+        (("--out",), "out", None, None, None, True),
+    ],
+}
+
+
+def _commands():
+    return cli._build_parser()._subparsers._group_actions[0].choices
+
+
+def test_every_option_is_frozen():
+    for command, parser in _commands().items():
+        declared = sorted([(tuple(a.option_strings), a.dest, a.default, a.type,
+                            tuple(a.choices) if a.choices else None, a.required)
+                           for a in parser._actions if a.dest != "help"], key=str)
+        assert declared == sorted(_OPTIONS[command], key=str), command
+    assert set(_commands()) == set(_OPTIONS)
+
+
+def test_unread_dataset_size_is_named_as_typed(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run(["simulate", "--multiclass", "strong", "--N", 50, "--out", out]) == 2
+    assert "simulate with --multiclass does not read --N" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_methods_are_the_scans_and_the_cli_choices():
+    x = np.random.default_rng(0).standard_normal((3, 12))
+    for method in SCAN_METHODS:
+        assert scan_statistics(method, x).shape == (3,)
+    for method in ("net", "CUSUM", "cusum_star", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            scan_statistics(method, x)
+    for command in ("detect", "evaluate"):
+        (method,) = [a for a in _commands()[command]._actions if a.dest == "method"]
+        assert tuple(method.choices) == (*SCAN_METHODS, "net")

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdlab import simulate
 from cpdlab.simulate import MulticlassSpec, ScenarioSpec
@@ -21,6 +23,18 @@ class TestSnrBase:
     def test_minimised_at_midpoint(self):
         values = [simulate.snr_base(100, tau) for tau in range(1, 100)]
         assert int(np.argmin(values)) + 1 == 50
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(2, 10**6), fraction=st.floats(0.0, 1.0))
+    def test_symmetric_and_smallest_at_the_midpoint(self, n, fraction):
+        tau = 1 + round(fraction * (n - 2))
+        value = simulate.snr_base(n, tau)
+        assert value == simulate.snr_base(n, n - tau)
+        midpoint = simulate.snr_base(n, n // 2)
+        if tau in (n // 2, n - n // 2):
+            assert value == midpoint
+        else:
+            assert value > midpoint
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
