@@ -1,9 +1,11 @@
 """Command-line front end: simulate, train, detect, localise, evaluate, reproduce.
 
 Every command is a pure function of its arguments; the seed comes from
-``--seed``, falling back to the ``CPD_SEED`` environment variable and
-then to 7.  Each option is declared once, in one spelling (the dataset
-size is ``--N``), and the scan names are ``evaluate.SCAN_METHODS``.
+``--seed`` alone (default 7).  Each option is declared once and accepted
+in that one spelling only, with no prefix of it (the dataset size is
+``--N``), and the scan names are ``evaluate.SCAN_METHODS``.  A network
+file carries the preprocessor it was trained with, and ``--method net``
+applies it.
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 arguments, which includes an option that the chosen use of its command
 does not read.
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,18 +44,6 @@ from .robust import wilcoxon_statistic  # noqa: F401  (perfbench's tracer test w
 from .simulate import MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
 
 __all__ = ["main"]
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CPD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"CPD_SEED must be an integer, got {env!r}") from None
-    return 7
 
 
 def _parse_preprocess(text: str) -> Preprocessor:
@@ -118,22 +107,20 @@ def _check_options(args, use: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _seed(args)
     if args.multiclass:
         _check_options(args, "--multiclass")
         spec = MulticlassSpec(args.multiclass, **_given(args, "per_class"))
-        dataset = gen_multiclass(spec, seed)
+        dataset = gen_multiclass(spec, args.seed)
     else:
         _check_options(args, "a scenario")
         spec = ScenarioSpec(**{"scenario": "S1", **_given(args, "scenario", "n", "size", "role")})
-        dataset = gen_scenario(spec, seed)
+        dataset = gen_scenario(spec, args.seed)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} examples of length {dataset.n} to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    seed = _seed(args)
     dataset = load_dataset(args.data)
     pre = _parse_preprocess(args.preprocess)
     hidden = tuple(int(w) for w in args.hidden.split(",") if w)
@@ -142,7 +129,7 @@ def _cmd_train(args) -> int:
     arch = Architecture(pre.output_dim(dataset.n), hidden, output_dim)
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=seed, lr_decay=args.lr_decay,
+        learning_rate=args.learning_rate, seed=args.seed, lr_decay=args.lr_decay,
     )
     net = train(pre.apply(dataset.values), dataset.labels, arch, config)
     with open(args.out, "w", encoding="ascii") as fh:
@@ -157,7 +144,7 @@ def _net_forward(args, values):
         raise ValueError("--net is required with method 'net'")
     with open(args.net, encoding="ascii") as fh:
         net, pre = network_from_json(fh.read())
-    return forward(net, (pre or Preprocessor()).apply(values))
+    return forward(net, pre.apply(values))
 
 
 def _cmd_detect(args) -> int:
@@ -219,20 +206,19 @@ def _cmd_localise(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    seed = _seed(args)
     _check_options(args, "--method net" if args.method == "net"
                    else "--train" if args.threshold is None else "--threshold")
     test_set = load_dataset(args.test)
     if args.method == "net":
         _, preds = _net_forward(args, test_set.values)
-        report = mer_from_predictions(test_set.labels, preds, seed=seed,
+        report = mer_from_predictions(test_set.labels, preds, seed=args.seed,
                                       fingerprint=test_set.fingerprint())
     else:
         if args.threshold is None and not args.train:
             raise ValueError("provide --threshold or --train data to tune on")
         train_set = load_dataset(args.train) if args.threshold is None else None
         report = scan_report(args.method, train_set, test_set, threshold=args.threshold,
-                             seed=seed)
+                             seed=args.seed)
     write_report({"command": "evaluate", "method": args.method,
                   "report": report.to_jsonable()}, args.out)
     print(f"MER {report.mer:.4f} on {report.size} examples -> {args.out}")
@@ -240,13 +226,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seed = _seed(args)
     overrides = _given(args, "reps")
     if overrides and "reps" not in inspect.signature(RECIPES[args.recipe]).parameters:
         raise ValueError(f"recipe {args.recipe!r} does not accept --reps")
-    report = run_recipe(args.recipe, seed, **overrides)
+    report = run_recipe(args.recipe, args.seed, **overrides)
     write_report(report, args.out)
-    print(f"recipe {args.recipe} (seed {seed}) -> {args.out}")
+    print(f"recipe {args.recipe} (seed {args.seed}) -> {args.out}")
     return 0
 
 
@@ -254,23 +239,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpdlab",
         description="Change-point detection lab: scans, trainable detectors, benchmarks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, help="random seed (falls back to CPD_SEED, then 7)")
+    seeded.add_argument("--seed", type=int, default=7, help="random seed (default 7)")
     detector = argparse.ArgumentParser(add_help=False)
     detector.add_argument("--method", default="cusum", choices=(*SCAN_METHODS, "net"))
     detector.add_argument("--threshold", type=float)
     detector.add_argument("--net", help="network JSON (method 'net')")
 
     def command(name, func, help, *parents):
-        p = sub.add_parser(name, help=help, parents=parents)
+        p = sub.add_parser(name, help=help, parents=parents, allow_abbrev=False)
         p.add_argument("--out", required=True, help="output file")
         p.set_defaults(func=func)
         return p
 
     p = command("simulate", _cmd_simulate, "generate a labelled dataset CSV", seeded)
-    p.add_argument("--scenario", help="S1 (default), S1', S2 or S3")
+    p.add_argument("--scenario", help="S1 (default), S1', S2 or S3, spelled exactly")
     p.add_argument("--multiclass", choices=("weak", "strong"),
                    help="generate the five-class mixture instead of a scenario")
     p.add_argument("--n", type=int, help="series length (default 100)")

@@ -28,6 +28,8 @@ from .simulate import gen_piecewise
 
 # The names of the scan methods: the keys of :func:`scan_statistics`' kernel table.
 SCAN_METHODS = ("cusum", "cusum-star", "wilcoxon", "variance", "slope")
+# Points of :func:`tune_threshold`'s grid over [min, max] of the statistics.
+THRESHOLD_GRID_SIZE = 200
 
 __all__ = [
     "SCAN_METHODS",
@@ -94,12 +96,12 @@ def mer_from_predictions(true_labels, predicted, *, threshold=None, seed=None,
     )
 
 
-def tune_threshold(stats, labels, grid=None, grid_size: int = 200) -> float:
+def tune_threshold(stats, labels) -> float:
     """Grid-search the decision threshold minimising training MER.
 
     ``stats`` holds one statistic per training example and ``labels``
     its 0/1 label; classification is ``statistic > threshold``.  The
-    default grid spans [min, max] of the statistics with ``grid_size``
+    grid spans [min, max] of the statistics with ``THRESHOLD_GRID_SIZE``
     points.  Of the minimisers, the smallest threshold is returned.
     """
     stats = np.asarray(stats, dtype=np.float64)
@@ -108,11 +110,7 @@ def tune_threshold(stats, labels, grid=None, grid_size: int = 200) -> float:
         raise ValueError("stats and labels must be equal-length vectors")
     if stats.size == 0:
         raise ValueError("cannot tune on an empty dataset")
-    if grid is None:
-        grid = np.linspace(stats.min(), stats.max(), grid_size)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("threshold grid is empty")
+    grid = np.linspace(stats.min(), stats.max(), THRESHOLD_GRID_SIZE)
     preds = stats[None, :] > grid[:, None]
     errors = np.sum(preds != labels[None, :].astype(bool), axis=1)
     best = int(np.argmin(errors))  # first minimiser = smallest threshold

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .cusum import _step_contrast, as_series, dyadic_grid
+from .network import forward
 
 __all__ = [
     "WindowClassifier",
@@ -51,32 +52,23 @@ class WindowClassifier:
             raise ValueError(f"window length must be >= 4, got {self.length}")
 
 
-def network_window_classifier(net, preprocessor=None) -> WindowClassifier:
+def network_window_classifier(net, preprocessor) -> WindowClassifier:
     """Use a trained binary network as the window classifier.
 
-    Each window is preprocessed (identity when ``preprocessor`` is
-    ``None``) and labelled by the network's hard decision.
+    Each window is transformed by ``preprocessor``, the one the network
+    was trained with, and labelled by the network's hard decision.
     """
-    from .network import forward
-
     if not net.is_binary:
         raise ValueError("localisation needs a binary window classifier")
-    length = (net.architecture.input_dim if preprocessor is None
-              else _preprocessed_window_length(net, preprocessor))
+    length = net.architecture.input_dim // len(preprocessor.channels)
+    if preprocessor.output_dim(length) != net.architecture.input_dim:
+        raise ValueError("preprocessor channels do not match the network input width")
 
     def label_series(series):
         windows = np.lib.stride_tricks.sliding_window_view(series, length)
-        feats = windows if preprocessor is None else preprocessor.apply(windows)
-        return forward(net, feats)[1]
+        return forward(net, preprocessor.apply(windows))[1]
 
     return WindowClassifier(length, label_series)
-
-
-def _preprocessed_window_length(net, preprocessor) -> int:
-    n = net.architecture.input_dim // len(preprocessor.channels)
-    if preprocessor.output_dim(n) != net.architecture.input_dim:
-        raise ValueError("preprocessor channels do not match the network input width")
-    return n
 
 
 def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassifier:

@@ -27,6 +27,11 @@ the score with Adam; the hard threshold is evaluation-only since the
 0-1 loss has no usable gradient.  Given a seed, initialisation, batch
 order and therefore the trained network are fully deterministic.
 
+A network file (:func:`network_to_json`) always holds the
+:class:`Preprocessor` that makes the network's input, because the two
+together are the detector; :func:`network_from_json` rejects a file
+without one.
+
 An entry of Adam's first moment whose gradient stays exactly 0, for
 example a weight into a ReLU unit that never fires, shrinks by ``beta1``
 each step until it is subnormal, and a numpy pass over subnormal
@@ -685,8 +690,8 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
     return worst
 
 
-def network_to_json(net: Network, preprocessor: Preprocessor | None = None) -> str:
-    """Serialise a network (and optional preprocessor) to versioned JSON.
+def network_to_json(net: Network, preprocessor: Preprocessor) -> str:
+    """Serialise a network and the preprocessor that makes its input to versioned JSON.
 
     Floats are written with shortest round-trip decimals, so loading the
     string back yields bit-identical parameters.
@@ -703,9 +708,8 @@ def network_to_json(net: Network, preprocessor: Preprocessor | None = None) -> s
         "output_bias": net.output_bias.tolist(),
         "threshold": net.threshold,
         "classes": list(net.classes) if net.classes is not None else None,
+        "preprocessor": preprocessor.to_jsonable(),
     }
-    if preprocessor is not None:
-        payload["preprocessor"] = preprocessor.to_jsonable()
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -746,7 +750,9 @@ def network_from_json(text: str):
     """Inverse of :func:`network_to_json`; returns ``(network, preprocessor)``.
 
     A file that is not such a JSON object, or whose fields are missing
-    or of the wrong type, raises ``ValueError`` naming the field.
+    or of the wrong type, raises ``ValueError`` naming the field.  The
+    ``preprocessor`` field is required: a network is a detector only
+    together with the transform of its input.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -769,6 +775,4 @@ def network_from_json(text: str):
         classes=(None if payload.get("classes") is None
                  else _field(payload, "classes", lambda cs: tuple(map(_json_int, cs)))),
     )
-    pre = (None if payload.get("preprocessor") is None
-           else _field(payload, "preprocessor", Preprocessor.from_jsonable))
-    return net, pre
+    return net, _field(payload, "preprocessor", Preprocessor.from_jsonable)

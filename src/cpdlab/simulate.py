@@ -1,7 +1,7 @@
 """Seeded generators for every synthetic benchmark used by the package.
 
 Binary scenario datasets pair mean-change series against no-change noise
-under four noise regimes:
+under four noise regimes, named exactly as below (``SCENARIOS``):
 
     S1   independent standard Gaussian
     S1'  AR(1) with coefficient 0.7, Gaussian innovations
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 SCENARIOS = ("S1", "S1'", "S2", "S3")
-_SCENARIO_ALIASES = {"s1": "S1", "s1'": "S1'", "s1p": "S1'", "s1prime": "S1'", "s2": "S2", "s3": "S3"}
 
 # Parameter table for the multiclass mixture: value bounds are shared,
 # the |difference| band depends on the signal regime.
@@ -70,16 +69,9 @@ SLOPE_NOISE_SD = 0.5  # noise variance 0.25 for slope-change data
 _MAX_REJECTION_DRAWS = 10**6
 
 
-def canonical_scenario(name: str) -> str:
-    key = str(name).lower()
-    if key not in _SCENARIO_ALIASES:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    return _SCENARIO_ALIASES[key]
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Recipe for one binary scenario dataset."""
+    """Recipe for one binary scenario dataset; ``scenario`` is one of ``SCENARIOS`` exactly."""
 
     scenario: str
     n: int = 100
@@ -87,7 +79,8 @@ class ScenarioSpec:
     role: str = "train"
 
     def __post_init__(self):
-        object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.n < 4:
             raise ValueError(f"series length must be >= 4, got {self.n}")
         if self.size < 2 or self.size % 2:

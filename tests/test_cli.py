@@ -38,15 +38,16 @@ def test_simulate_same_argv_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seed_env_fallback_and_flag_priority(tmp_path, monkeypatch):
-    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+def test_seed_comes_from_the_flag_alone(tmp_path, monkeypatch):
+    a, b, c, d = (tmp_path / f"{name}.csv" for name in "abcd")
+    run(["simulate", "--N", 10, "--seed", 11, "--out", a])
+    run(["simulate", "--N", 10, "--seed", 12, "--out", b])
+    assert a.read_bytes() != b.read_bytes()
+    # The environment has no say: without --seed the seed is 7.
     monkeypatch.setenv("CPD_SEED", "11")
-    run(["simulate", "--N", 10, "--out", a])
-    monkeypatch.delenv("CPD_SEED")
-    run(["simulate", "--N", 10, "--seed", 11, "--out", b])
-    run(["simulate", "--N", 10, "--seed", 12, "--out", c])
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes() != c.read_bytes()
+    run(["simulate", "--N", 10, "--out", c])
+    run(["simulate", "--N", 10, "--seed", 7, "--out", d])
+    assert c.read_bytes() == d.read_bytes()
 
 
 def test_train_detect_evaluate_pipeline(tmp_path):
@@ -120,14 +121,18 @@ def test_reproduce_writes_report_and_is_deterministic(tmp_path):
     assert report["passed"] is True and report["violations"] == 0
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # unknown recipe -> argparse error 2
     assert run(["reproduce", "figZZ", "--out", tmp_path / "x.json"]) == 2
     # missing file -> config error 2
     assert run(["detect", "--method", "cusum", "--threshold", 1.0,
                 "--data", tmp_path / "absent.csv", "--out", tmp_path / "y.json"]) == 2
-    # bad scenario -> 2
-    assert run(["simulate", "--scenario", "S9", "--out", tmp_path / "z.csv"]) == 2
+    # a scenario that is not one of S1, S1', S2, S3 as spelled -> 2
+    for scenario in ("S9", "s2"):
+        capsys.readouterr()
+        assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "z.csv"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
+    assert not (tmp_path / "z.csv").exists()
     # a threshold that is not a finite positive number -> 2, before any report
     data, values = tmp_path / "d.csv", tmp_path / "v.csv"
     run(["simulate", "--N", 10, "--out", data])
@@ -252,6 +257,8 @@ def _with_first_number(entry):
     ("threshold", None, "'threshold'"),
     ("classes", 3, "'classes'"),
     ("preprocessor", 5, "'preprocessor'"),
+    ("preprocessor", _MISSING, "'preprocessor'"),
+    ("preprocessor", None, "'preprocessor'"),
     ("architecture.hidden", None, "'hidden'"),
     ("threshold", "0.5", "'threshold'"),
     ("threshold", True, "'threshold'"),
@@ -266,7 +273,8 @@ def _with_first_number(entry):
     ("weights", _with_first_number(None), "'weights'"),
     ("biases", _with_first_number(True), "'biases'"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
-        "no-weights", "null-threshold", "int-classes", "int-preprocessor", "null-hidden",
+        "no-weights", "null-threshold", "int-classes", "int-preprocessor",
+        "no-preprocessor", "null-preprocessor", "null-hidden",
         "string-threshold", "bool-threshold", "bool-output-dim", "bool-hidden", "float-classes",
         "string-classes", "bool-schema-version", "string-output-bias", "bool-output-bias",
         "string-weight", "null-weight", "bool-bias"])
@@ -351,7 +359,7 @@ _RECIPES = ("detection-miss", "fig1a", "fig1d", "figb1", "grid-check", "null-rat
             "table1", "thm-localisation")
 _OPTIONS = {
     "simulate": [
-        (("--seed",), "seed", None, int, None, False),
+        (("--seed",), "seed", 7, int, None, False),
         (("--scenario",), "scenario", None, None, None, False),
         (("--multiclass",), "multiclass", None, None, ("weak", "strong"), False),
         (("--n",), "n", None, int, None, False),
@@ -361,7 +369,7 @@ _OPTIONS = {
         (("--out",), "out", None, None, None, True),
     ],
     "train": [
-        (("--seed",), "seed", None, int, None, False),
+        (("--seed",), "seed", 7, int, None, False),
         (("--data",), "data", None, None, None, True),
         (("--hidden",), "hidden", "198", None, None, False),
         (("--epochs",), "epochs", 200, int, None, False),
@@ -387,7 +395,7 @@ _OPTIONS = {
         (("--out",), "out", None, None, None, True),
     ],
     "evaluate": [
-        (("--seed",), "seed", None, int, None, False),
+        (("--seed",), "seed", 7, int, None, False),
         (("--method",), "method", "cusum", None, _METHODS, False),
         (("--test",), "test", None, None, None, True),
         (("--train",), "train", None, None, None, False),
@@ -396,7 +404,7 @@ _OPTIONS = {
         (("--out",), "out", None, None, None, True),
     ],
     "reproduce": [
-        (("--seed",), "seed", None, int, None, False),
+        (("--seed",), "seed", 7, int, None, False),
         ((), "recipe", None, None, _RECIPES, True),
         (("--reps",), "reps", None, int, None, False),
         (("--out",), "out", None, None, None, True),
@@ -434,3 +442,49 @@ def test_scan_methods_are_the_scans_and_the_cli_choices():
     for command in ("detect", "evaluate"):
         (method,) = [a for a in _commands()[command]._actions if a.dest == "method"]
         assert tuple(method.choices) == (*SCAN_METHODS, "net")
+
+
+def _value(action):
+    """A value that ``action`` accepts."""
+    return action.choices[0] if action.choices else {int: "1", float: "1.0"}.get(action.type, "x")
+
+
+def _unique_prefixes():
+    """``(argv, prefix, action)`` for every unique proper prefix of a long option.
+
+    ``argv`` is the command with its required arguments in full, so it
+    parses; the prefix matches no other option string of the command,
+    so an abbreviating parser would take it for ``action``'s option.
+    The top-level parser has the empty ``argv``.
+    """
+    parsers = {(): cli._build_parser(), **{(name,): p for name, p in _commands().items()}}
+    for command, parser in parsers.items():
+        argv = list(command)
+        for action in parser._actions:
+            if command and action.required:
+                argv += [*action.option_strings[:1], _value(action)]
+        flags = {flag: action for action in parser._actions for flag in action.option_strings
+                 if flag.startswith("--")}
+        for flag, action in flags.items():
+            for end in range(3, len(flag)):
+                prefix = flag[:end]
+                if [f for f in flags if f.startswith(prefix)] == [flag]:
+                    yield argv, prefix, action
+
+
+def test_no_option_prefix_is_accepted(tmp_path, capsys, monkeypatch):
+    # Every option has one spelling: no prefix of it parses, so the
+    # command exits 2 and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    cases = list(_unique_prefixes())
+    for argv, prefix, action in cases:
+        capsys.readouterr()
+        value = [] if action.nargs == 0 else [_value(action)]
+        assert run([*argv, prefix, *value]) == 2, (argv, prefix)
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
+    for argv in {tuple(argv) for argv, _, _ in cases} - {()}:
+        assert cli._build_parser().parse_args(list(argv)).command == argv[0]
+    prefixes = {(tuple(argv[:1]), prefix) for argv, prefix, _ in cases}
+    assert {(("train",), "--learn"), (("simulate",), "--mult"), (("detect",), "--thr"),
+            (("detect",), "--da"), ((), "--h")} <= prefixes

@@ -66,10 +66,6 @@ class TestTuneThreshold:
         grid = np.linspace(0.0, 10.0, 200)
         assert thr == grid[0]
 
-    def test_explicit_grid(self):
-        thr = tune_threshold(np.array([0.0, 10.0]), np.array([0, 1]), grid=[5.0, 7.0])
-        assert thr == 5.0
-
     def test_cusum_threshold_brackets_null_value(self):
         ds = gen_scenario(ScenarioSpec("S1", size=2000), seed=4)
         thr = tune_threshold(batch_cusum_statistics(ds.values), ds.labels)

@@ -181,11 +181,12 @@ class TestLocalise:
 class TestNetworkWindowClassifier:
     def test_embedded_net_matches_scan_classifier(self):
         from cpdlab.localise import network_window_classifier
-        from cpdlab.network import embed_cusum
+        from cpdlab.network import Preprocessor, embed_cusum
 
         rng = np.random.default_rng(6)
         lam = cusum.snr_threshold_star(64, 1.5)
-        clf = network_window_classifier(embed_cusum(64, lam, "star"))
+        clf = network_window_classifier(embed_cusum(64, lam, "star"),
+                                        Preprocessor((("identity",),)))
         assert clf.length == 64
         series, _ = gen_piecewise(600, [300], [0.0, 6.0], seed=7, min_spacing=128)
         labels = sliding_labels(series, clf)

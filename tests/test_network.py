@@ -672,7 +672,7 @@ class TestFlatEngine:
         net.weights[0][0, 0] += 1.0
         after, _ = forward(net, x)
         assert not np.array_equal(before, after)
-        loaded, _ = network_from_json(network_to_json(net))
+        loaded, _ = network_from_json(network_to_json(net, Preprocessor((("identity",),))))
         assert loaded.params.tobytes() == net.params.tobytes()
 
     def test_training_does_not_touch_init(self):
@@ -717,12 +717,12 @@ class TestSerialisation:
             network_from_json('{"schema_version": 99}')
 
     def test_serialised_twice_identical(self):
-        net = embed_cusum(12, 2.0)
-        assert network_to_json(net) == network_to_json(net)
+        net, pre = embed_cusum(12, 2.0), Preprocessor((("identity",),))
+        assert network_to_json(net, pre) == network_to_json(net, pre)
 
     @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_threshold_rejected(self, threshold):
-        payload = json.loads(network_to_json(embed_cusum(6, 1.0)))
+        payload = json.loads(network_to_json(embed_cusum(6, 1.0), Preprocessor((("identity",),))))
         text = json.dumps(payload).replace('"threshold": 0.0', f'"threshold": {threshold}')
         with pytest.raises(ValueError, match="threshold must be finite"):
             network_from_json(text)
@@ -730,7 +730,7 @@ class TestSerialisation:
     def test_class_count_must_match_output_width(self):
         rng = np.random.default_rng(16)
         net = _init_network(Architecture(4, (3,), 3), rng)
-        payload = json.loads(network_to_json(net))
+        payload = json.loads(network_to_json(net, Preprocessor((("identity",),))))
         payload["classes"] = [1, 2]
         with pytest.raises(ValueError, match="2 classes for output width 3"):
             network_from_json(json.dumps(payload))

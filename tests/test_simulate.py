@@ -72,9 +72,10 @@ class TestScenarios:
                 assert lo * b <= abs(meta["mu_right"]) <= hi * b
 
     def test_scenario_aliases_and_validation(self):
-        assert ScenarioSpec("s1prime").scenario == "S1'"
-        with pytest.raises(ValueError, match="unknown scenario"):
-            ScenarioSpec("S9")
+        # A scenario has one spelling, its entry of SCENARIOS.
+        for name in ("S9", "s1", "s1'", "s1p", "s1prime", "S1P", "s3"):
+            with pytest.raises(ValueError, match="unknown scenario"):
+                ScenarioSpec(name)
         with pytest.raises(ValueError, match="even"):
             ScenarioSpec("S1", size=7)
 
