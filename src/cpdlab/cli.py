@@ -296,9 +296,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_undeclared(parser, argv) -> None:
+    """Exit 2 naming every ``--`` option in ``argv`` that its command does not declare.
+
+    argparse reports a missing required option before unrecognised ones,
+    so ``detect --thr 3 --da x.csv`` would otherwise name only the
+    missing ``--data``, not the two spellings it rejected.
+    """
+    (commands,) = parser._subparsers._group_actions
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is None:
+        return
+    declared = {flag for action in command._actions for flag in action.option_strings}
+    words = argv[1:argv.index("--")] if "--" in argv else argv[1:]
+    undeclared = [word for word in words
+                  if word.startswith("--") and word.split("=", 1)[0] not in declared]
+    if undeclared:
+        command.error("unrecognized arguments: " + " ".join(undeclared))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        _reject_undeclared(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

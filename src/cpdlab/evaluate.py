@@ -9,8 +9,9 @@ Monte-Carlo checks compare an empirical rate against a closed-form
 bound, allowing one-sided binomial slack of three standard deviations
 computed at the bound; the bounds are inequalities, so the slack only
 absorbs simulation noise.  Scans score a batch in blocks of rows, and
-the checks add their change signals and score block by block, so their
-scratch memory is a few blocks whatever the number of replications.
+the checks draw their noise, add their change signals and score block by
+block, so their memory is a few blocks, plus a few numbers per
+replication, whatever the number of replications.
 """
 
 from __future__ import annotations
@@ -200,6 +201,14 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
         the requirement is a success-frequency floor rather than a
         closed-form tail bound.
 
+    Each check draws from one generator seeded with ``seed``.  Its
+    per-series parameters come first in the stream: the change locations
+    and amplitudes for ``detection_miss``; the labels and then the
+    changed series' locations and amplitudes for ``snr_risk``.  The
+    noise follows, drawn one block of rows at a time, and since
+    ``standard_normal`` fills values in order the rate does not depend
+    on the block size.  ``localisation`` draws one seed per replication.
+
     ``params`` sets the keyword arguments of the kind's check, whose
     defaults apply to the rest; a name the check does not take raises
     ``ValueError``.  Pass criterion:
@@ -275,13 +284,13 @@ def _null_rate(rng, reps, /, *, n=100, eps=0.05):
 def _detection_miss(rng, reps, /, *, n=100, eps=0.05, snr_multiplier=1.05):
     threshold = cusum.null_threshold(n, eps)
     target_snr = snr_multiplier * math.sqrt(8.0 * math.log(n / eps) / n)
-    # The steps come after all the noise in the stream, so the noise is
-    # one draw; each block gets its steps just before it is scored.
-    X = rng.standard_normal((reps, n))
+    # Every series' step comes first in the stream, then the noise a block
+    # at a time; standard_normal fills values in order, so the rate does
+    # not depend on the block size.
     taus, amplitudes = _mean_change_signals(rng, reps, n, target_snr)
     misses = 0
     for block in _row_blocks(reps, n):
-        rows = X[block]
+        rows = rng.standard_normal((block.stop - block.start, n))
         rows += _steps(n, taus[block], amplitudes[block])
         misses += int(np.count_nonzero(batch_cusum_statistics(rows) <= threshold))
     return misses / reps, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
@@ -291,13 +300,14 @@ def _detection_miss(rng, reps, /, *, n=100, eps=0.05, snr_multiplier=1.05):
 def _snr_risk(rng, reps, /, *, n=100, snr_bound=0.8, snr_multiplier=1.05,
               change_fraction=0.5):
     threshold = cusum.snr_threshold(n, snr_bound)
+    # Labels, then the changed series' steps, then the noise a block at a
+    # time, as in _detection_miss.
     labels = (rng.random(reps) < change_fraction).astype(np.int64)
-    X = rng.standard_normal((reps, n))
     changed = np.flatnonzero(labels)
     taus, amplitudes = _mean_change_signals(rng, changed.size, n, snr_multiplier * snr_bound)
     errors = 0
     for block in _row_blocks(reps, n):
-        rows = X[block]
+        rows = rng.standard_normal((block.stop - block.start, n))
         first, last = np.searchsorted(changed, (block.start, block.stop))
         rows[changed[first:last] - block.start] += _steps(n, taus[first:last],
                                                           amplitudes[first:last])

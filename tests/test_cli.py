@@ -488,3 +488,16 @@ def test_no_option_prefix_is_accepted(tmp_path, capsys, monkeypatch):
     prefixes = {(tuple(argv[:1]), prefix) for argv, prefix, _ in cases}
     assert {(("train",), "--learn"), (("simulate",), "--mult"), (("detect",), "--thr"),
             (("detect",), "--da"), ((), "--h")} <= prefixes
+
+
+def test_undeclared_options_are_named_before_missing_ones(tmp_path, capsys, monkeypatch):
+    # argparse alone would report only the missing --data.
+    monkeypatch.chdir(tmp_path)
+    assert run(["detect", "--thr", "3", "--da", "s.csv", "--out", "d.json"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --thr --da" in err and "required" not in err
+    assert run(["detect", "--threshold", "3", "--epochs=2", "--out", "d.json"]) == 2
+    assert "unrecognized arguments: --epochs=2" in capsys.readouterr().err
+    assert run(["detect", "--threshold", "3", "--out", "d.json"]) == 2
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

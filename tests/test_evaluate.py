@@ -118,8 +118,12 @@ class TestBlockedScans:
             scan_statistics("cusum", np.zeros((SCAN_BLOCK + 1, 1)))
 
 
-def _whole_draw_rate(kind, reps, seed, n):
-    """The check's empirical rate, with every series drawn as one (reps, n) matrix."""
+def _whole_draw_rate(kind, reps, seed, n, snr_multiplier=1.05):
+    """The check's empirical rate, with every series' noise drawn as one (reps, n) matrix.
+
+    The stream holds the per-series parameters first (labels, then the
+    changed series' steps) and the noise after them.
+    """
     rng = np.random.default_rng(seed)
 
     def signals(count, target_snr):
@@ -133,14 +137,15 @@ def _whole_draw_rate(kind, reps, seed, n):
         stats = cusum.cusum_statistic(rng.standard_normal((reps, n)))[0]
         return float(np.mean(stats > cusum.null_threshold(n, 0.05)))
     if kind == "detection_miss":
-        X = rng.standard_normal((reps, n))
-        X = X + signals(reps, 1.05 * math.sqrt(8.0 * math.log(n / 0.05) / n))
+        steps = signals(reps, snr_multiplier * math.sqrt(8.0 * math.log(n / 0.05) / n))
+        X = rng.standard_normal((reps, n)) + steps
         stats = cusum.cusum_statistic(X)[0]
         return float(np.mean(stats <= cusum.null_threshold(n, 0.05)))
     labels = (rng.random(reps) < 0.5).astype(np.int64)
-    X = rng.standard_normal((reps, n))
     changed = np.flatnonzero(labels)
-    X[changed] += signals(changed.size, 1.05 * 0.8)
+    steps = signals(changed.size, snr_multiplier * 0.8)
+    X = rng.standard_normal((reps, n))
+    X[changed] += steps
     stats = cusum.cusum_statistic(X)[0]
     return float(np.mean((stats > cusum.snr_threshold(n, 0.8)).astype(np.int64) != labels))
 
@@ -154,17 +159,44 @@ def test_blocked_checks_equal_one_whole_draw(kind, n):
     assert check.empirical == _whole_draw_rate(kind, reps, 11, n)
 
 
-def test_null_rate_memory_is_a_few_blocks():
-    """20,000 series of length 100 (15.3 MiB as one matrix) are scored in 512 KiB blocks."""
+@pytest.mark.parametrize("n", [37, 100])
+def test_blocked_detection_miss_below_the_boundary_equals_one_whole_draw(n):
+    """At half the boundary SNR some changes are missed and some found.
+
+    At the default multiplier both rates are 0, which cannot tell steps
+    added to the wrong rows or drawn in the wrong order; here they can.
+    """
+    reps = 2 * (SCAN_BLOCK // n) + 123
+    params = {"n": n, "snr_multiplier": 0.5}
+    check = monte_carlo_bound_check("detection_miss", params, reps=reps, seed=11)
+    whole = _whole_draw_rate("detection_miss", reps, 11, n, snr_multiplier=0.5)
+    assert 0.0 < whole < 1.0
+    assert check.empirical == whole
+
+
+def _peak_bytes(kind):
     tracemalloc.start()
     try:
-        monte_carlo_bound_check("null_rate", reps=20000, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
+        monte_carlo_bound_check(kind, reps=20000, seed=7)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_null_rate_memory_is_a_few_blocks():
+    """20,000 series of length 100 (15.3 MiB as one matrix) are scored in 512 KiB blocks."""
     # About 1.7 MiB measured; a whole (20000, 100) draw with its scan
     # temporaries takes 76 MiB.
-    assert peak < 4 * 2**20
+    assert _peak_bytes("null_rate") < 4 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["detection_miss", "snr_risk"])
+def test_changed_checks_memory_is_a_few_blocks(kind):
+    """The steps are a few numbers per series; the noise is drawn a block at a time.
+
+    One whole (20000, 100) noise draw would be 15.3 MiB.
+    """
+    assert _peak_bytes(kind) < 4 * 2**20
 
 
 class TestBoundChecks:
