@@ -19,13 +19,14 @@ hidden bias, then the output bias, each flattened row-major.  The
 ``weights``, ``biases`` and ``output_bias`` fields are reshaped views of
 that vector, and :func:`loss_and_gradient` returns its gradient as one
 vector in the same layout, so an optimiser step is a handful of
-element-wise passes over a single buffer.  :func:`train` allocates that
-gradient vector once and passes it to every step as ``out``.
+element-wise passes over a single buffer.
 
 Training minimises the cross-entropy of a logistic (or softmax) link on
 the score with Adam; the hard threshold is evaluation-only since the
-0-1 loss has no usable gradient.  Given a seed, initialisation, batch
-order and therefore the trained network are fully deterministic.
+0-1 loss has no usable gradient.  Adam steps in the order of Kingma & Ba
+(arXiv:1412.6980, section 2), their Algorithm 1 up to rounding: ``params
+-= alpha_t * (m / (sqrt(v) + eps_t))``, ``alpha_t = lr * sqrt(c2) / c1``,
+``eps_t = eps * sqrt(c2)``, ``c1, c2 = 1 - beta1**t, 1 - beta2**t``.
 
 A network file (:func:`network_to_json`) always holds the
 :class:`Preprocessor` that makes the network's input, because the two
@@ -39,12 +40,12 @@ operands runs tens of times slower.  At the end of every epoch
 :func:`train` therefore sets each first-moment entry with
 ``0 < |m| < 2**-1022`` to a zero of the same sign, the value further
 decay would reach.  No parameter can tell: such an entry moves its
-parameter by at most about ``2**-1022 * lr / (c1 * eps)``, about
-``2**-1002`` at the default constants, which rounds away unless the
-parameter itself is below about ``2**-949``.  It changes the next moment
-``beta1 * m + (1 - beta1) * g`` only if ``|g|`` is below about
-``2**-966``.  Neither happens in practice, so training results are the
-same bit for bit as without the flush.
+parameter by at most ``2**-1022 * alpha_t / eps_t = 2**-1022 * lr /
+(c1 * eps)``, about ``2**-1002`` at the default constants, which rounds
+away unless the parameter itself is below about ``2**-949``.  It changes
+the next moment ``beta1 * m + (1 - beta1) * g`` only if ``|g|`` is
+below about ``2**-966``.  Neither happens in practice, so training
+results are the same bit for bit as without the flush.
 """
 
 from __future__ import annotations
@@ -228,8 +229,9 @@ class TrainConfig:
         constants = (self.learning_rate, self.beta1, self.beta2, self.adam_eps, self.lr_decay)
         if not all(math.isfinite(c) for c in constants):
             raise ValueError("optimiser constants must be finite")
-        if min(self.learning_rate, self.beta1, self.beta2, self.adam_eps) <= 0:
-            raise ValueError("optimiser constants must be positive")
+        # Below 2**-1022, eps * sqrt(c2) can round to 0 and Adam's step to 0 / 0.
+        if min(self.learning_rate, self.beta1, self.beta2) <= 0 or not self.adam_eps >= _TINY:
+            raise ValueError("optimiser constants must be positive, adam_eps at least 2**-1022")
         if max(self.beta1, self.beta2) >= 1:
             raise ValueError("beta1 and beta2 must be < 1")
         if self.lr_decay < 0:
@@ -536,12 +538,13 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     are rejected with ``ValueError``.
 
     Adam runs in place on the flat ``params`` vector of the network that
-    is returned.  A non-finite loss, or parameters that are non-finite at
-    the end of an epoch, raise :class:`TrainingError` naming the epoch,
-    the global step and the parameter array of the first non-finite entry.
-    At the end of each epoch, first-moment entries that have decayed into
-    the subnormal range are set to signed zero; this keeps the Adam passes
-    at full speed and cannot move a parameter (see the module docstring).
+    is returned, as ``params -= alpha_t * (m / (sqrt(v) + eps_t))`` in the
+    order of Kingma & Ba, section 2.  A non-finite loss, or parameters
+    that are non-finite at the end of an epoch, raise :class:`TrainingError`
+    naming the epoch, the global step and the parameter array of the first
+    non-finite entry.  First-moment entries that have decayed into the
+    subnormal range are zeroed with their sign at each epoch's end, which
+    cannot move a parameter, as ``alpha_t / eps_t = lr / (c1 * eps)``.
 
     Each step gathers its batch with ``take`` and calls
     :func:`loss_and_gradient` with one gradient vector allocated up
@@ -599,8 +602,7 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
                                          out=grad)
             except TrainingError as exc:
                 raise _divergence(arch, params, epoch, step, str(exc)) from exc
-            c1 = 1.0 - b1**step
-            c2 = 1.0 - b2**step
+            root_c2 = math.sqrt(1.0 - b2**step)
             m_state *= b1
             np.multiply(g, 1.0 - b1, out=tmp)
             m_state += tmp
@@ -608,12 +610,10 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
             np.multiply(g, 1.0 - b2, out=tmp)
             tmp *= g
             v_state += tmp
-            np.divide(m_state, c1, out=tmp)
-            tmp *= lr
-            np.divide(v_state, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            tmp /= denom
+            np.sqrt(v_state, out=denom)
+            denom += eps * root_c2
+            np.divide(m_state, denom, out=tmp)
+            tmp *= lr * root_c2 / (1.0 - b1**step)
             params -= tmp
         if not np.all(np.isfinite(params)):
             raise _divergence(arch, params, epoch, step, "non-finite parameters")

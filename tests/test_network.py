@@ -430,10 +430,15 @@ class TestTrain:
 
     def test_non_finite_parameters_name_their_array(self):
         rng = np.random.default_rng(13)
-        X = 1e6 * rng.standard_normal((32, 4))
+        X = rng.standard_normal((32, 4))
+        X[:, 2] *= 1e-200
         y = rng.integers(0, 2, 32)
-        # lr * gradient overflows in the first step, first in weights[0].
-        cfg = TrainConfig(epochs=5, learning_rate=1e308, seed=0)
+        # Adam's first step is lr * g / (|g| + eps), at most lr.  The weights
+        # out of the near-zero input column get gradients near 1e-200: their
+        # squares underflow, so v is 0 and the step is lr * g / eps, about
+        # 1e99 * lr, which overflows in weights[0].  Every other parameter
+        # moves by about lr = 1e300 and stays finite.
+        cfg = TrainConfig(epochs=5, learning_rate=1e300, adam_eps=1e-300, seed=0)
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match=r"epoch 0, step 1: non-finite parameters; "
                                      r"first non-finite entry in weights\[0\]$"):
@@ -466,9 +471,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("field, value", [
         (field, value) for field in ("learning_rate", "lr_decay", "beta1", "beta2", "adam_eps")
-        for value in (math.nan, math.inf)] + [("beta1", 1.0), ("beta2", 1.5)])
+        for value in (math.nan, math.inf)] + [("beta1", 1.0), ("beta2", 1.5),
+                                              ("adam_eps", 0.0), ("adam_eps", 1e-320)])
     def test_config_rejects_bad_constant(self, field, value):
-        with pytest.raises(ValueError, match="finite|< 1"):
+        with pytest.raises(ValueError, match=r"finite|< 1|2\*\*-1022"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("labels", [[1.2, 1.7, 3.0, 1.2], [1.0, 2.0, math.nan, 1.0],
@@ -571,6 +577,21 @@ def _saturated_cusum_batch(n=20, rows=16, seed=21):
     return net, X, y
 
 
+def _reordered_update(m, v, step, lr, config):
+    """The step Adam subtracts, in the order of Kingma & Ba, section 2:
+    ``alpha_t * (m / (sqrt(v) + eps_t))``, both scalars made in floats."""
+    root_c2 = math.sqrt(1.0 - config.beta2**step)
+    alpha = lr * root_c2 / (1.0 - config.beta1**step)
+    return alpha * (m / (np.sqrt(v) + config.adam_eps * root_c2))
+
+
+def _algorithm1_update(m, v, step, lr, config):
+    """The same step in the order of Kingma & Ba's Algorithm 1, with bias-corrected moments."""
+    c1 = 1.0 - config.beta1**step
+    c2 = 1.0 - config.beta2**step
+    return lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+
+
 def _reference_adam(X, y, arch, config, return_m=False):
     """Reference Adam that updates each parameter array separately.
 
@@ -598,19 +619,35 @@ def _reference_adam(X, y, arch, config, return_m=False):
             sizes = np.cumsum([p.size for p in params])[:-1]
             grads = [g.reshape(p.shape) for g, p in zip(np.split(flat, sizes), params)]
             step += 1
-            c1 = 1.0 - config.beta1**step
-            c2 = 1.0 - config.beta2**step
             for p, g, m_vec, v_vec in zip(params, grads, m_state, v_state):
                 m_vec *= config.beta1
                 m_vec += (1.0 - config.beta1) * g
                 v_vec *= config.beta2
                 v_vec += (1.0 - config.beta2) * g * g
-                p -= lr * (m_vec / c1) / (np.sqrt(v_vec / c2) + config.adam_eps)
+                p -= _reordered_update(m_vec, v_vec, step, lr, config)
         m_ends.append(np.concatenate([m_vec.ravel() for m_vec in m_state]))
     return (params, m_ends) if return_m else params
 
 
 class TestFlatEngine:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(step=st.sampled_from([1, 2, 355, 356, 10**4]),
+           lr=st.floats(1e-6, 1.0),
+           g=arrays(np.float64, 16, elements=st.floats(1e-12, 1e6)),
+           sign=arrays(np.bool_, 16),
+           m_prev=arrays(np.float64, 16, elements=st.floats(-1e6, 1e6)),
+           v_prev=arrays(np.float64, 16, elements=st.floats(0.0, 1e12)))
+    def test_reordered_step_matches_algorithm_1(self, step, lr, g, sign, m_prev, v_prev):
+        # Folding the bias corrections into alpha_t and eps_t is exact in
+        # real arithmetic; in floats the two orders differ by a few ulp.
+        cfg = TrainConfig()
+        g = np.where(sign, -g, g)
+        m = cfg.beta1 * m_prev + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v_prev + (1.0 - cfg.beta2) * g * g
+        new = _reordered_update(m, v, step, lr, cfg)
+        old = _algorithm1_update(m, v, step, lr, cfg)
+        assert np.all(np.abs(new - old) <= 8 * np.finfo(np.float64).eps * np.abs(old))
+
     @pytest.mark.parametrize("arch, n_classes", [
         (Architecture(6, (5, 4), 1), 2),
         (Architecture(5, (7,), 3), 3),
