@@ -211,8 +211,7 @@ def misclassification_bound_star(n: int, snr_bound: float) -> float:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
-    if snr_bound <= 0:
-        raise ValueError(f"snr_bound must be positive, got {snr_bound}")
+    _check_snr_args(n, snr_bound)
     return 2 * (n.bit_length() - 1) * math.exp(-n * snr_bound**2 / 24.0)
 
 
@@ -257,5 +256,5 @@ def _unit_step_response(n: int, tau, i):
 def _check_snr_args(n: int, snr_bound: float) -> None:
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    if snr_bound <= 0:
-        raise ValueError(f"snr_bound must be positive, got {snr_bound}")
+    if not (math.isfinite(snr_bound) and snr_bound > 0):
+        raise ValueError(f"snr_bound must be a finite positive number, got {snr_bound}")

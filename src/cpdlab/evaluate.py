@@ -9,15 +9,14 @@ Monte-Carlo checks compare an empirical rate against a closed-form
 bound, allowing one-sided binomial slack of three standard deviations
 computed at the bound; the bounds are inequalities, so the slack only
 absorbs simulation noise.  Scans score a batch in blocks of rows, and
-the checks draw their noise, add their change signals and score block by
-block, so their memory is a few blocks, plus a few numbers per
-replication, whatever the number of replications.
+the Gaussian checks share one loop that draws the noise, adds the change
+signals and scores a block at a time, so their memory is a few blocks
+plus a few numbers per replication, whatever the number of replications.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -176,8 +175,7 @@ class BoundCheck:
         return asdict(self)
 
 
-def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 20000,
-                            seed: int = 0) -> BoundCheck:
+def monte_carlo_bound_check(kind: str, reps: int = 20000, seed: int = 0) -> BoundCheck:
     """Estimate an error rate by simulation and compare it with its bound.
 
     Kinds
@@ -196,44 +194,28 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
     ``localisation``
         Failure rate of the sliding-window localiser (wrong count, or
         any estimate off by more than ``2 B^2 / jump^2``) on a
-        piecewise-constant signal; target failure rate
-        ``params["failure_bound"]`` (default 0.05) with no slack, since
-        the requirement is a success-frequency floor rather than a
-        closed-form tail bound.
+        piecewise-constant signal; target failure rate ``failure_bound``
+        (0.05) with no slack, since the requirement is a
+        success-frequency floor rather than a closed-form tail bound.
 
-    Each check draws from one generator seeded with ``seed``.  Its
-    per-series parameters come first in the stream: the change locations
-    and amplitudes for ``detection_miss``; the labels and then the
-    changed series' locations and amplitudes for ``snr_risk``.  The
-    noise follows, drawn one block of rows at a time, and since
-    ``standard_normal`` fills values in order the rate does not depend
-    on the block size.  ``localisation`` draws one seed per replication.
-
-    ``params`` sets the keyword arguments of the kind's check, whose
-    defaults apply to the rest; a name the check does not take raises
-    ``ValueError``.  Pass criterion:
-    ``empirical <= bound + 3 * sqrt(bound(1-bound)/reps)`` (slack 0 for
-    ``localisation``).
+    Each kind's settings are its check's keyword defaults, listed in the
+    report's ``params``.  Each check draws from one generator seeded with
+    ``seed``: first each series' parameters (the steps for
+    ``detection_miss``; the labels, then the changed series' steps for
+    ``snr_risk``), then the noise one block of rows at a time in the loop
+    the three Gaussian kinds share, so the rate does not depend on the
+    block size; ``localisation`` draws one seed per replication.
+    ``reps`` must be at least 1000 (100 for ``localisation``).  Pass
+    criterion: ``empirical <= bound + 3 * sqrt(bound(1-bound)/reps)``
+    (slack 0 for ``localisation``).
     """
-    params = params or {}
-    # The binomial-slack checks need enough replications for the 3-sigma
-    # slack to be meaningful; the localisation success-floor experiment
-    # is specified at 500 replications.
-    floor = 100 if kind == "localisation" else 1000
+    if kind not in _CHECKS:
+        raise ValueError(f"unknown bound check kind {kind!r}")
+    check, floor, sigmas = _CHECKS[kind]
     if reps < floor:
         raise ValueError(f"need at least {floor} replications, got {reps}")
-    checks = {"null_rate": _null_rate, "detection_miss": _detection_miss,
-              "snr_risk": _snr_risk, "localisation": _localisation_failure_rate}
-    if kind not in checks:
-        raise ValueError(f"unknown bound check kind {kind!r}")
-    defaults = checks[kind].__kwdefaults__
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown parameters: {unknown}")
-    params = {name: _typed_param(name, value, defaults[name]) for name, value in params.items()}
-    empirical, bound, used = checks[kind](np.random.default_rng(seed), reps, **params)
-    slack = (0.0 if kind == "localisation"
-             else 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / reps))
+    empirical, bound, used = check(np.random.default_rng(seed), reps)
+    slack = sigmas * math.sqrt(max(bound * (1.0 - bound), 0.0) / reps)
     return BoundCheck(
         kind=kind,
         empirical=empirical,
@@ -248,82 +230,56 @@ def monte_carlo_bound_check(kind: str, params: dict | None = None, reps: int = 2
 
 # Each check returns (empirical rate, bound, parameters used).
 
-def _typed_param(name: str, value, default):
-    """``value`` as the type of its parameter's default: int, float or tuple.
-
-    A number parameter takes a real number (Python or numpy), never a bool
-    or a string; an int parameter takes only an integral one (``100``,
-    ``100.0``, ``np.float32(100)``).  Any other value raises
-    ``ValueError`` naming the parameter, never a truncation.
-    """
-    if isinstance(default, tuple):
-        return tuple(value)
-    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if isinstance(default, float):
-        if not real:
-            raise ValueError(f"parameter {name!r} must be a real number, got {value!r}")
-        return float(value)
-    if real and isinstance(value, numbers.Integral):
-        return int(value)
-    if real and float(value).is_integer():
-        return int(float(value))
-    raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
-
-
 def _null_rate(rng, reps, /, *, n=100, eps=0.05):
     threshold = cusum.null_threshold(n, eps)
-    exceed = 0
-    for block in _row_blocks(reps, n):
-        # standard_normal fills values in order, so drawing block by block
-        # gives the same numbers as one (reps, n) draw.
-        rows = rng.standard_normal((block.stop - block.start, n))
-        exceed += int(np.count_nonzero(batch_cusum_statistics(rows) > threshold))
-    return exceed / reps, eps, {"n": n, "eps": eps, "threshold": threshold}
+    none = np.zeros(0, dtype=np.int64)
+    rate = _scan_error_rate(rng, n, threshold, np.zeros(reps, dtype=bool), none, none, none)
+    return rate, eps, {"n": n, "eps": eps, "threshold": threshold}
 
 
 def _detection_miss(rng, reps, /, *, n=100, eps=0.05, snr_multiplier=1.05):
     threshold = cusum.null_threshold(n, eps)
     target_snr = snr_multiplier * math.sqrt(8.0 * math.log(n / eps) / n)
-    # Every series' step comes first in the stream, then the noise a block
-    # at a time; standard_normal fills values in order, so the rate does
-    # not depend on the block size.
     taus, amplitudes = _mean_change_signals(rng, reps, n, target_snr)
-    misses = 0
-    for block in _row_blocks(reps, n):
-        rows = rng.standard_normal((block.stop - block.start, n))
-        rows += _steps(n, taus[block], amplitudes[block])
-        misses += int(np.count_nonzero(batch_cusum_statistics(rows) <= threshold))
-    return misses / reps, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
-                                "threshold": threshold}
+    rate = _scan_error_rate(rng, n, threshold, np.ones(reps, dtype=bool), np.arange(reps),
+                            taus, amplitudes)
+    return rate, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
+                       "threshold": threshold}
 
 
 def _snr_risk(rng, reps, /, *, n=100, snr_bound=0.8, snr_multiplier=1.05,
               change_fraction=0.5):
     threshold = cusum.snr_threshold(n, snr_bound)
-    # Labels, then the changed series' steps, then the noise a block at a
-    # time, as in _detection_miss.
-    labels = (rng.random(reps) < change_fraction).astype(np.int64)
+    labels = rng.random(reps) < change_fraction
     changed = np.flatnonzero(labels)
     taus, amplitudes = _mean_change_signals(rng, changed.size, n, snr_multiplier * snr_bound)
+    rate = _scan_error_rate(rng, n, threshold, labels, changed, taus, amplitudes)
+    used = {"n": n, "snr_bound": snr_bound, "snr_multiplier": snr_multiplier,
+            "change_fraction": change_fraction, "threshold": threshold}
+    return rate, cusum.misclassification_bound(n, snr_bound), used
+
+
+def _scan_error_rate(rng, n, threshold, labels, changed, taus, amplitudes):
+    """Share of rows whose full-scan decision ``statistic > threshold`` is not their label.
+
+    Row ``changed[k]`` (increasing) gets the step ``taus[k], amplitudes[k]``
+    on its noise, which is drawn one block of rows at a time;
+    ``standard_normal`` fills values in order, so the rate is that of one
+    ``(len(labels), n)`` draw.
+    """
     errors = 0
-    for block in _row_blocks(reps, n):
+    for block in _row_blocks(labels.size, n):
         rows = rng.standard_normal((block.stop - block.start, n))
         first, last = np.searchsorted(changed, (block.start, block.stop))
         rows[changed[first:last] - block.start] += _steps(n, taus[first:last],
                                                           amplitudes[first:last])
-        decisions = (batch_cusum_statistics(rows) > threshold).astype(np.int64)
-        errors += int(np.count_nonzero(decisions != labels[block]))
-    used = {"n": n, "snr_bound": snr_bound, "snr_multiplier": snr_multiplier,
-            "change_fraction": change_fraction, "threshold": threshold}
-    return errors / reps, cusum.misclassification_bound(n, snr_bound), used
+        errors += int(np.count_nonzero((batch_cusum_statistics(rows) > threshold)
+                                       != labels[block]))
+    return errors / labels.size
 
 
 def _mean_change_signals(rng, count, n, target_snr):
-    """``(taus, amplitudes)`` of steps with SNR exactly ``target_snr``.
-
-    The locations are uniform on [1, n-1] and the signs uniform; see
-    :func:`_steps` for the signals themselves.
-    """
+    """``(taus, amplitudes)`` of steps of SNR ``target_snr`` at uniform locations and signs."""
     taus = rng.integers(1, n, size=count)
     eta = taus / n
     deltas = target_snr / np.sqrt(eta * (1.0 - eta))
@@ -351,18 +307,25 @@ def _localisation_failure_rate(rng, reps, /, *, window=128, length=3500,
     for rep_seed in seeds:
         series, _ = gen_piecewise(length, taus, means, noise_sd=noise_sd,
                                   seed=int(rep_seed), min_spacing=2 * window)
-        result = localise(series, classifier, gamma)
-        if len(result.change_points) != len(taus):
-            failures += 1
-            continue
-        errs = np.abs(np.asarray(result.change_points, dtype=np.float64) - np.asarray(taus))
-        if np.any(errs > tolerances):
+        found = np.asarray(localise(series, classifier, gamma).change_points, dtype=np.float64)
+        if found.size != len(taus) or np.any(np.abs(found - np.asarray(taus)) > tolerances):
             failures += 1
     used = {"window": window, "length": length, "taus": list(taus),
             "means": list(means), "snr_bound": snr_bound, "gamma": gamma,
             "noise_sd": noise_sd, "threshold": threshold,
             "tolerances": tolerances.tolist()}
     return failures / reps, failure_bound, used
+
+
+# Each kind's check, fewest replications and slack in binomial standard deviations.
+# The 3-sigma slack needs enough replications to be meaningful; the
+# localisation success-floor experiment is specified at 500 replications.
+_CHECKS = {
+    "null_rate": (_null_rate, 1000, 3.0),
+    "detection_miss": (_detection_miss, 1000, 3.0),
+    "snr_risk": (_snr_risk, 1000, 3.0),
+    "localisation": (_localisation_failure_rate, 100, 0.0),
+}
 
 
 @dataclass

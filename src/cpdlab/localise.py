@@ -79,8 +79,8 @@ def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassif
     of order 1e-12, which only matters for statistics exactly at the
     threshold.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be a finite positive number, got {threshold}")
     grid = dyadic_grid(length)
 
     def label_series(series):

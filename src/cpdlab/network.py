@@ -341,7 +341,9 @@ class Preprocessor:
 
     @classmethod
     def from_jsonable(cls, data) -> "Preprocessor":
-        return cls(tuple(tuple(tuple(step) for step in channel) for channel in data))
+        """Inverse of :meth:`to_jsonable`; a step parameter that is not a JSON number raises."""
+        return cls(tuple(tuple((name, *map(_json_number, param)) for name, *param in channel)
+                         for channel in data))
 
 
 def _forward_pass(net: Network, X: np.ndarray):

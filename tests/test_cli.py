@@ -145,6 +145,10 @@ def test_exit_codes(tmp_path, capsys):
                     "--test", data, "--out", out]) == 2
         assert run(["localise", "--window", 4, "--threshold", threshold,
                     "--data", values, "--out", out]) == 2
+    # an SNR bound that is not finite, or whose threshold overflows to inf -> 2
+    for snr_bound in ("inf", "1e308"):
+        assert run(["localise", "--window", 4, "--snr-bound", snr_bound,
+                    "--data", values, "--out", out]) == 2
     # --threshold with method net -> 2: the network's own threshold decides
     net = tmp_path / "net.json"
     net.write_text(network_to_json(embed_cusum(100, 3.0), Preprocessor((("identity",),))))
@@ -198,6 +202,15 @@ def test_reads_table_covers_every_option():
         for action in options:
             if action.dest not in reads:
                 assert action.default is None, (command, use, action.dest)
+
+
+@pytest.mark.parametrize("recipe, floor", [("null-rate", 1000), ("detection-miss", 1000),
+                                           ("snr-risk", 1000), ("thm-localisation", 100)])
+def test_reps_below_the_floor_is_a_usage_error(tmp_path, capsys, recipe, floor):
+    out = tmp_path / "r.json"
+    assert run(["reproduce", recipe, "--reps", floor - 1, "--out", out]) == 2
+    assert f"need at least {floor} replications, got {floor - 1}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reps_support_comes_from_the_recipe_signature(tmp_path, monkeypatch):

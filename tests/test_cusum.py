@@ -230,6 +230,11 @@ class TestThresholdsAndBounds:
             cusum.null_threshold(100, 0.0)
         with pytest.raises(ValueError):
             cusum.snr_threshold(100, -1.0)
+        for fn in (cusum.snr_threshold, cusum.snr_threshold_star, cusum.misclassification_bound,
+                   cusum.misclassification_bound_star):
+            for bound in (math.nan, math.inf, 0.0):
+                with pytest.raises(ValueError, match="finite positive"):
+                    fn(100, bound)
 
     def test_bound_values(self):
         assert cusum.misclassification_bound(100, 1.0) == pytest.approx(100 * math.exp(-12.5))

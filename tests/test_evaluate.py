@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdlab import cusum, glr, robust
+from cpdlab import cusum, evaluate, glr, robust
 from cpdlab.cusum import SCAN_BLOCK
 from cpdlab.evaluate import (
     batch_cusum_statistics,
@@ -154,9 +154,8 @@ def _whole_draw_rate(kind, reps, seed, n, snr_multiplier=1.05):
 @pytest.mark.parametrize("n", [37, 100])
 def test_blocked_checks_equal_one_whole_draw(kind, n):
     reps = 2 * (SCAN_BLOCK // n) + 123  # not a multiple of the block
-    params = {"n": n} if kind != "snr_risk" else {"n": n, "snr_bound": 0.8}
-    check = monte_carlo_bound_check(kind, params, reps=reps, seed=11)
-    assert check.empirical == _whole_draw_rate(kind, reps, 11, n)
+    empirical, _, _ = getattr(evaluate, f"_{kind}")(np.random.default_rng(11), reps, n=n)
+    assert empirical == _whole_draw_rate(kind, reps, 11, n)
 
 
 @pytest.mark.parametrize("n", [37, 100])
@@ -167,11 +166,11 @@ def test_blocked_detection_miss_below_the_boundary_equals_one_whole_draw(n):
     added to the wrong rows or drawn in the wrong order; here they can.
     """
     reps = 2 * (SCAN_BLOCK // n) + 123
-    params = {"n": n, "snr_multiplier": 0.5}
-    check = monte_carlo_bound_check("detection_miss", params, reps=reps, seed=11)
+    empirical, _, _ = evaluate._detection_miss(np.random.default_rng(11), reps, n=n,
+                                               snr_multiplier=0.5)
     whole = _whole_draw_rate("detection_miss", reps, 11, n, snr_multiplier=0.5)
     assert 0.0 < whole < 1.0
-    assert check.empirical == whole
+    assert empirical == whole
 
 
 def _peak_bytes(kind):
@@ -199,68 +198,51 @@ def test_changed_checks_memory_is_a_few_blocks(kind):
     assert _peak_bytes(kind) < 4 * 2**20
 
 
+def _passes(check, reps, seed, **settings):
+    """Whether ``check`` at ``settings`` passes with the 3-sigma slack of the public checks."""
+    empirical, bound, _ = check(np.random.default_rng(seed), reps, **settings)
+    return empirical <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / reps)
+
+
+# Each kind's fewest replications.
+FLOORS = {"null_rate": 1000, "detection_miss": 1000, "snr_risk": 1000, "localisation": 100}
+
+
 class TestBoundChecks:
     def test_null_rate_small(self):
-        check = monte_carlo_bound_check("null_rate", {"n": 50, "eps": 0.1},
-                                        reps=2000, seed=0)
-        assert check.passed
-        assert check.empirical <= check.bound + check.slack
+        assert _passes(evaluate._null_rate, 2000, 0, n=50, eps=0.1)
 
     def test_degenerate_tiny_eps_never_fires(self):
-        check = monte_carlo_bound_check("null_rate", {"n": 50, "eps": 1e-12},
-                                        reps=1000, seed=1)
-        assert check.empirical == 0.0
+        empirical, _, _ = evaluate._null_rate(np.random.default_rng(1), 1000, n=50, eps=1e-12)
+        assert empirical == 0.0
 
     def test_detection_miss_small(self):
-        check = monte_carlo_bound_check("detection_miss", {"n": 50, "eps": 0.1},
-                                        reps=2000, seed=2)
-        assert check.passed
+        assert _passes(evaluate._detection_miss, 2000, 2, n=50, eps=0.1)
 
     def test_snr_risk_small(self):
-        check = monte_carlo_bound_check("snr_risk", {"n": 50, "snr_bound": 1.0},
-                                        reps=2000, seed=3)
-        assert check.passed
+        assert _passes(evaluate._snr_risk, 2000, 3, n=50, snr_bound=1.0)
 
     def test_rep_floor_enforced(self):
-        with pytest.raises(ValueError, match="1000"):
-            monte_carlo_bound_check("null_rate", {"n": 50, "eps": 0.1}, reps=10, seed=0)
+        for kind, floor in FLOORS.items():
+            with pytest.raises(ValueError, match=f"need at least {floor} replications, got "):
+                monte_carlo_bound_check(kind, reps=floor - 1, seed=0)
+
+    @pytest.mark.parametrize("kind", sorted(FLOORS))
+    def test_slack_per_kind(self, kind):
+        check = monte_carlo_bound_check(kind, reps=FLOORS[kind], seed=0)
+        b = check.bound
+        expected = 0.0 if kind == "localisation" else 3.0 * math.sqrt(b * (1.0 - b) / check.reps)
+        assert check.slack == expected
+        assert check.passed == (check.empirical <= b + expected)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown bound check"):
-            monte_carlo_bound_check("coverage", {}, reps=1000, seed=0)
-
-    @pytest.mark.parametrize("kind, reps", [("null_rate", 1000), ("detection_miss", 1000),
-                                            ("snr_risk", 1000), ("localisation", 100)])
-    def test_unknown_parameter_named(self, kind, reps):
-        with pytest.raises(ValueError, match="unknown parameters.*'windw'"):
-            monte_carlo_bound_check(kind, {"windw": 64}, reps=reps, seed=0)
-
-    @pytest.mark.parametrize("kind, params, reps", [
-        ("null_rate", {"n": 100.7}, 1000), ("snr_risk", {"n": "100"}, 1000),
-        ("localisation", {"window": 64.9}, 100), ("detection_miss", {"n": math.nan}, 1000),
-        ("null_rate", {"n": True}, 1000), ("null_rate", {"n": np.float32(100.5)}, 1000)])
-    def test_non_integral_count_named(self, kind, params, reps):
-        name = next(iter(params))
-        with pytest.raises(ValueError, match=f"parameter '{name}' must be an integer"):
-            monte_carlo_bound_check(kind, params, reps=reps, seed=1)
-
-    @pytest.mark.parametrize("eps", ["0.05", True, None])
-    def test_non_numeric_rate_named(self, eps):
-        with pytest.raises(ValueError, match="parameter 'eps' must be a real number"):
-            monte_carlo_bound_check("null_rate", {"eps": eps}, reps=1000, seed=1)
-
-    @pytest.mark.parametrize("n", [100, 100.0, np.int64(100), np.float64(100.0),
-                                   np.float32(100.0)])
-    def test_integral_count_accepted(self, n):
-        check = monte_carlo_bound_check("null_rate", {"n": n}, reps=1000, seed=1)
-        assert check.params["n"] == 100 and type(check.params["n"]) is int
-        assert check == monte_carlo_bound_check("null_rate", {"n": 100}, reps=1000, seed=1)
+            monte_carlo_bound_check("coverage", reps=1000, seed=0)
 
     def test_localisation_rejects_small_jumps(self):
         with pytest.raises(ValueError, match="jump"):
-            monte_carlo_bound_check(
-                "localisation", {"means": (0.0, 1.0, 0.0, 1.0)}, reps=1000, seed=0
-            )
+            evaluate._localisation_failure_rate(np.random.default_rng(0), 100,
+                                                means=(0.0, 1.0, 0.0, 1.0))
 
 
 class TestLocalisationRmse:

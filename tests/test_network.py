@@ -764,6 +764,16 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="threshold must be finite"):
             network_from_json(text)
 
+    @pytest.mark.parametrize("z", ["3", True, None])
+    def test_truncate_parameter_must_be_a_json_number(self, z):
+        payload = json.loads(network_to_json(embed_cusum(6, 1.0), Preprocessor((("identity",),))))
+        payload["preprocessor"] = [[["truncate", z]]]
+        with pytest.raises(ValueError, match="'preprocessor' is malformed: expected a number"):
+            network_from_json(json.dumps(payload))
+        payload["preprocessor"] = [[["truncate", 3]], [["unit_scale"]]]
+        _, pre = network_from_json(json.dumps(payload))
+        assert pre.channels == ((("truncate", 3.0),), (("unit_scale",),))
+
     def test_class_count_must_match_output_width(self):
         rng = np.random.default_rng(16)
         net = _init_network(Architecture(4, (3,), 3), rng)
