@@ -20,10 +20,7 @@ for scenario, label, train_size in (("S1", "independent Gaussian", 700),
     train_set = cp.gen_scenario(cp.ScenarioSpec(scenario, size=train_size), seed=7)
     test_set = cp.gen_scenario(cp.ScenarioSpec(scenario, size=3000, role="test"), seed=8)
 
-    threshold = cp.tune_threshold(cp.batch_cusum_statistics(train_set.values),
-                                  train_set.labels)
-    scan_preds = (cp.batch_cusum_statistics(test_set.values) > threshold).astype(int)
-    scan_mer = float(np.mean(scan_preds != test_set.labels))
+    scan = cp.scan_report("cusum", train_set, test_set)  # threshold tuned on train_set
 
     net = cp.train(pre.apply(train_set.values), train_set.labels,
                    cp.Architecture(100, (198,), 1),
@@ -32,7 +29,7 @@ for scenario, label, train_size in (("S1", "independent Gaussian", 700),
     net_mer = float(np.mean(net_preds != test_set.labels))
 
     print(f"{scenario} ({label}):")
-    print(f"  tuned scan threshold {threshold:.2f}, test MER {scan_mer:.3f}")
+    print(f"  tuned scan threshold {scan.threshold:.2f}, test MER {scan.mer:.3f}")
     print(f"  trained width-198 network, test MER {net_mer:.3f}")
-    verdict = "network ahead" if net_mer < scan_mer else "scan ahead"
-    print(f"  -> {verdict} by {abs(scan_mer - net_mer):.3f}\n")
+    verdict = "network ahead" if net_mer < scan.mer else "scan ahead"
+    print(f"  -> {verdict} by {abs(scan.mer - net_mer):.3f}\n")

@@ -341,9 +341,14 @@ class Preprocessor:
 
     @classmethod
     def from_jsonable(cls, data) -> "Preprocessor":
-        """Inverse of :meth:`to_jsonable`; a step parameter that is not a JSON number raises."""
-        return cls(tuple(tuple((name, *map(_json_number, param)) for name, *param in channel)
-                         for channel in data))
+        """Inverse of :meth:`to_jsonable`.
+
+        Channels and steps must be JSON lists and step parameters JSON
+        numbers; anything else raises ``TypeError``.
+        """
+        return cls(tuple(tuple((name, *map(_json_number, param))
+                               for name, *param in map(_json_list, _json_list(channel)))
+                         for channel in _json_list(data)))
 
 
 def _forward_pass(net: Network, X: np.ndarray):
@@ -729,6 +734,13 @@ def _json_int(value) -> int:
     """A JSON integer as itself; a boolean or any other value raises ``TypeError``."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_list(value) -> list:
+    """A JSON list as itself; a string or any other value raises ``TypeError``."""
+    if type(value) is not list:
+        raise TypeError(f"expected a JSON list, got {value!r}")
     return value
 
 

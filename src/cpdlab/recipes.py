@@ -1,9 +1,10 @@
 """Named end-to-end experiment recipes.
 
-Each recipe is a pure function of its seed (plus optional size
-overrides) returning a JSON-able report dictionary, so rerunning a
-recipe with the same seed reproduces the report byte for byte.  The
-registry keys double as the ``reproduce`` subcommand names:
+Each recipe is a pure function of its seed (the four Monte-Carlo ones
+also take ``reps``) returning a JSON-able report dictionary, so rerunning
+a recipe with the same seed reproduces the report byte for byte.  No
+recipe takes a size or setting.  The registry keys double as the
+``reproduce`` subcommand names:
 
     fig1a            Gaussian scenario: trained wide single-layer net
                      versus threshold-tuned CUSUM.
@@ -18,10 +19,12 @@ registry keys double as the ``reproduce`` subcommand names:
     snr-risk         Scan risk under an SNR-floor prior vs its bound.
     grid-check       Deterministic dyadic-neighbourhood response check.
 
-fig1a, fig1d and figb1 share one run loop: run ``k`` draws its training
-set from seed ``seed + 1000 k`` and its test set from that seed plus 1,
-scores the scan with :func:`cpdlab.evaluate.scan_report` and the network
-with the one train-and-score helper, which table1 uses too.  The four
+fig1a, fig1d and figb1 are rows of one run loop; each row fixes its
+scenario, scan, network input and start, and training size (700 or
+1000).  Run ``k`` of 3 draws its training set from seed ``seed + 1000 k``
+and its 5000-row test set from that seed plus 1, scores the scan with
+:func:`cpdlab.evaluate.scan_report` and the network (200 epochs) with
+the one train-and-score helper, which table1 uses too.  The four
 Monte-Carlo recipes are one function with their own check and reps.
 """
 
@@ -73,80 +76,55 @@ def _network_report(train_set, test_set, pre: Preprocessor, start, config: Train
                                 seed=config.seed, fingerprint=test_set.fingerprint())
 
 
-def _scan_versus_network(recipe, seed, scenario, method, pre, start, train_size, test_size,
-                         n_seeds, epochs, threshold_keys=("threshold",), **settings):
-    """The tuned ``method`` scan versus a trained network over ``n_seeds`` runs of ``scenario``.
+# Every Figure 1 row's test size, number of runs and training epochs.
+_TEST_SIZE, _RUNS, _EPOCHS = 5000, 3, 200
+
+
+def _scan_versus_network(recipe, scenario, method, pre, start, train_size, threshold_keys,
+                         settings, summary, seed):
+    """The tuned ``method`` scan versus a trained network over the runs of ``scenario``.
 
     Each run's threshold keys name the scan's threshold, then the
     embedded start's; with one key the start's is left out.
+    ``settings`` are extra report fields.  ``summary`` is
+    ``(key, minuend, subtrahend)``: the report's ``key`` is the median
+    over runs of the run's ``minuend`` minus its ``subtrahend``.
     """
     def run(k):
         # The datasets live in this call only, so one run's draws are
         # freed before the next run draws its own.
         run_seed = seed + 1000 * k
         train_set = gen_scenario(ScenarioSpec(scenario, size=train_size, role="train"), run_seed)
-        test_set = gen_scenario(ScenarioSpec(scenario, size=test_size, role="test"), run_seed + 1)
+        test_set = gen_scenario(ScenarioSpec(scenario, size=_TEST_SIZE, role="test"), run_seed + 1)
         scan = scan_report(method, train_set, test_set, seed=run_seed)
         net = _network_report(train_set, test_set, pre, start,
-                              TrainConfig(epochs=epochs, seed=run_seed))
+                              TrainConfig(epochs=_EPOCHS, seed=run_seed))
         return {"seed": run_seed, **dict(zip(threshold_keys, (scan.threshold, net.threshold))),
                 f"{method}_mer": scan.mer, "network_mer": net.mer}
 
-    runs = [run(k) for k in range(n_seeds)]
+    runs = [run(k) for k in range(_RUNS)]
+    key, minuend, subtrahend = summary
     return {
         "recipe": recipe,
         "seed": seed,
         "scenario": scenario,
         **settings,
         "train_size": train_size,
-        "test_size": test_size,
-        "epochs": epochs,
+        "test_size": _TEST_SIZE,
+        "epochs": _EPOCHS,
         "runs": runs,
         "median_network_mer": statistics.median(r["network_mer"] for r in runs),
         f"median_{method}_mer": statistics.median(r[f"{method}_mer"] for r in runs),
+        key: statistics.median(r[minuend] - r[subtrahend] for r in runs),
     }
 
 
-def fig1a(seed: int = 7, *, train_size: int = 700, test_size: int = 5000,
-          n_seeds: int = 3, epochs: int = 200) -> dict:
-    """Gaussian scenario S1: wide single-layer network versus tuned CUSUM."""
-    report = _scan_versus_network("fig1a", seed, "S1", "cusum", Preprocessor(), (198,),
-                                  train_size, test_size, n_seeds, epochs)
-    report["median_mer_difference"] = statistics.median(
-        r["network_mer"] - r["cusum_mer"] for r in report["runs"])
-    return report
-
-
-def fig1d(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
-          n_seeds: int = 3, epochs: int = 200) -> dict:
-    """Cauchy scenario S3: the trained network should beat tuned CUSUM."""
-    report = _scan_versus_network("fig1d", seed, "S3", "cusum", Preprocessor(), (198,),
-                                  train_size, test_size, n_seeds, epochs)
-    report["median_mer_gain"] = statistics.median(
-        r["cusum_mer"] - r["network_mer"] for r in report["runs"])
-    return report
-
-
-def figb1(seed: int = 7, *, train_size: int = 1000, test_size: int = 5000,
-          n_seeds: int = 3, epochs: int = 200, z: float = 3.0,
-          clip_passes: int = 12) -> dict:
-    """Cauchy scenario S3: truncation-preprocessed net versus tuned rank scan.
-
-    A single z-score clip leaves the scale estimate inflated by the very
-    outliers it is meant to tame, so the clip is applied ``clip_passes``
-    times (the band shrinks towards its fixed point) before unit
-    scaling.  The network starts from the embedded scan at the tuned
-    threshold of its own input features; training can then only refine
-    an already sound detector.
-    """
-    pre = Preprocessor(((*(("truncate", z),) * clip_passes, ("unit_scale",)),))
-    report = _scan_versus_network("figb1", seed, "S3", "wilcoxon", pre, "cusum", train_size,
-                                  test_size, n_seeds, epochs,
-                                  ("wilcoxon_threshold", "scan_threshold"),
-                                  truncation_z=z, clip_passes=clip_passes)
-    report["median_mer_margin"] = statistics.median(
-        r["network_mer"] - r["wilcoxon_mer"] for r in report["runs"])
-    return report
+# figb1's input.  One z-score clip leaves the scale estimate inflated by
+# the outliers it should tame, so the clip is applied 12 times (the band
+# shrinks towards its fixed point) before unit scaling.  figb1's network
+# starts from the scan embedded at its features' tuned threshold.
+_CLIP_Z, _CLIP_PASSES = 3.0, 12
+_CLIPPED = Preprocessor(((*(("truncate", _CLIP_Z),) * _CLIP_PASSES, ("unit_scale",)),))
 
 
 # The oracle's test of each change type: the scan it runs, the class it
@@ -172,14 +150,14 @@ def _oracle_predictions(dataset: LabeledDataset, thresholds: dict) -> np.ndarray
     return preds
 
 
-def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
-           per_class_test: int = 200, epochs: int = 200) -> dict:
+def table1(seed: int) -> dict:
     """Five-class mixture: oracle and adaptive likelihood classifiers vs a deep net.
 
     The oracle thresholds are tuned per change type on the training
     split; the network is a depth-5 multilayer perceptron on
     (scaled x, scaled x^2) features.
     """
+    regime, per_class_train, per_class_test, epochs = "strong", 400, 200, 200
     spec_train = MulticlassSpec(regime, per_class=per_class_train)
     spec_test = MulticlassSpec(regime, per_class=per_class_test)
     train_set = gen_multiclass(spec_train, seed)
@@ -221,21 +199,34 @@ def table1(seed: int = 7, *, regime: str = "strong", per_class_train: int = 400,
     }
 
 
-def _bound_recipe(recipe: str, kind: str, seed: int = 7, *, reps: int) -> dict:
+def _bound_recipe(recipe: str, kind: str, seed: int, *, reps: int) -> dict:
     """The Monte-Carlo check ``kind`` of :func:`monte_carlo_bound_check` as a report."""
     check = monte_carlo_bound_check(kind, reps=reps, seed=seed)
     return {"recipe": recipe, "seed": seed, **check.to_jsonable()}
 
 
-def grid_check(seed: int = 7, *, n_min: int = 16, n_max: int = 512) -> dict:
+_GRID_FLOOR = math.sqrt(3.0) / 3.0
+
+
+def _grid_check_length(n: int) -> tuple[float, int]:
+    """grid-check at length ``n``: its worst window-to-peak ratio and its violation count."""
+    tau = np.arange(1, n)
+    reach = np.minimum(tau, n - tau) / 2.0
+    points = np.stack([np.ceil(tau - reach), tau, np.floor(tau + reach)], axis=1)
+    lo, peak, hi = cusum._unit_step_response(n, tau[:, None], points).T
+    ratio = np.minimum(lo, hi) / peak
+    return float(ratio.min()), int(np.count_nonzero(ratio < _GRID_FLOOR - 1e-9))
+
+
+def grid_check(seed: int) -> dict:
     """Deterministic check that near-change scan points keep >= sqrt(3)/3 response.
 
-    For every length and change location, every scan position within
-    half the shorter segment of the change must respond at least
-    sqrt(3)/3 times the peak.  The dyadic grid always contains such a
-    position, so this is the exact ingredient that bounds the grid
-    scan's power loss.  The seed is accepted for interface uniformity
-    but unused.
+    For every length from 16 to 512 and every change location, every
+    scan position within half the shorter segment of the change must
+    respond at least sqrt(3)/3 times the peak.  The dyadic grid always
+    contains such a position, so this is the exact ingredient that
+    bounds the grid scan's power loss.  The seed is accepted for
+    interface uniformity but unused.
 
     Each response is nondecreasing up to its peak at the change and
     nonincreasing after it, exactly, in floating point too (see
@@ -243,37 +234,29 @@ def grid_check(seed: int = 7, *, n_min: int = 16, n_max: int = 512) -> dict:
     that contains the change is the smaller of the two at its endpoints,
     and the check evaluates only those and the peak: O(n) per length.
     """
-    floor = math.sqrt(3.0) / 3.0
-    violations = 0
-    worst = math.inf
-    for n in range(n_min, n_max + 1):
-        tau = np.arange(1, n)
-        reach = np.minimum(tau, n - tau) / 2.0
-        # Each response row rises up to its peak at i = tau and falls
-        # after it (see ``cusum.step_response``), so its minimum over the
-        # window [lo, hi] around tau sits at lo or at hi: three positions
-        # per change location decide the check.
-        points = np.stack([np.ceil(tau - reach), tau, np.floor(tau + reach)], axis=1)
-        lo, peak, hi = cusum._unit_step_response(n, tau[:, None], points).T
-        ratio = np.minimum(lo, hi) / peak
-        worst = min(worst, float(ratio.min()))
-        violations += int(np.count_nonzero(ratio < floor - 1e-9))
+    n_min, n_max = 16, 512
+    worst, violations = zip(*map(_grid_check_length, range(n_min, n_max + 1)))
     return {
         "recipe": "grid-check",
         "seed": seed,
         "n_min": n_min,
         "n_max": n_max,
-        "floor": floor,
-        "worst_ratio": worst,
-        "violations": violations,
-        "passed": violations == 0,
+        "floor": _GRID_FLOOR,
+        "worst_ratio": min(worst),
+        "violations": sum(violations),
+        "passed": sum(violations) == 0,
     }
 
 
 RECIPES = {
-    "fig1a": fig1a,
-    "fig1d": fig1d,
-    "figb1": figb1,
+    "fig1a": partial(_scan_versus_network, "fig1a", "S1", "cusum", Preprocessor(), (198,), 700,
+                     ("threshold",), {}, ("median_mer_difference", "network_mer", "cusum_mer")),
+    "fig1d": partial(_scan_versus_network, "fig1d", "S3", "cusum", Preprocessor(), (198,), 1000,
+                     ("threshold",), {}, ("median_mer_gain", "cusum_mer", "network_mer")),
+    "figb1": partial(_scan_versus_network, "figb1", "S3", "wilcoxon", _CLIPPED, "cusum", 1000,
+                     ("wilcoxon_threshold", "scan_threshold"),
+                     {"truncation_z": _CLIP_Z, "clip_passes": _CLIP_PASSES},
+                     ("median_mer_margin", "network_mer", "wilcoxon_mer")),
     "table1": table1,
     "thm-localisation": partial(_bound_recipe, "thm-localisation", "localisation", reps=500),
     "null-rate": partial(_bound_recipe, "null-rate", "null_rate", reps=20000),
@@ -284,7 +267,7 @@ RECIPES = {
 
 
 def run_recipe(name: str, seed: int = 7, **overrides) -> dict:
-    """Run a named recipe; unknown names raise ``ValueError``."""
+    """Run a named recipe; unknown names raise ``ValueError``, unknown keywords ``TypeError``."""
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; choose from {sorted(RECIPES)}")
     return RECIPES[name](seed, **overrides)

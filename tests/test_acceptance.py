@@ -2,9 +2,9 @@
 
 Each test prints a single ``criterion NN <name>: PASS/FAIL`` line (visible
 with ``pytest -s``) and then asserts, so the pytest verdict per test is
-the per-criterion verdict.  Experiment recipes are run once and cached in
-a module fixture; the determinism criterion reruns every recipe and
-compares serialised bytes.
+the per-criterion verdict.  Experiment recipes are run once per session
+and cached by the ``recipe_report`` fixture of ``conftest.py``; the
+determinism criterion reruns every recipe and compares serialised bytes.
 """
 
 import math
@@ -21,17 +21,6 @@ from cpdlab.network import _init_network
 from cpdlab.recipes import RECIPES, run_recipe
 
 SEED = 7
-
-
-@pytest.fixture(scope="module")
-def reports():
-    return {}
-
-
-def _recipe(reports, name):
-    if name not in reports:
-        reports[name] = run_recipe(name, SEED)
-    return reports[name]
 
 
 def _verdict(number, name, ok, detail):
@@ -98,10 +87,10 @@ def test_criterion_01_embedding_equivalence():
                     f"direction err {direction_err:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_02_null_and_miss_rates(reports):
+def test_criterion_02_null_and_miss_rates(recipe_report):
     start = time.time()
-    null_check = _recipe(reports, "null-rate")
-    miss_check = _recipe(reports, "detection-miss")
+    null_check = recipe_report("null-rate")
+    miss_check = recipe_report("detection-miss")
     elapsed = time.time() - start
     ok = null_check["passed"] and miss_check["passed"] and elapsed < 60
     assert _verdict(2, "null-and-miss-rates", ok,
@@ -110,8 +99,8 @@ def test_criterion_02_null_and_miss_rates(reports):
                     f"{elapsed:.1f}s")
 
 
-def test_criterion_03_snr_prior_risk(reports):
-    check = _recipe(reports, "snr-risk")
+def test_criterion_03_snr_prior_risk(recipe_report):
+    check = recipe_report("snr-risk")
     expected_bound = 100 * math.exp(-8.0)
     ok = check["passed"] and check["bound"] == pytest.approx(expected_bound)
     assert _verdict(3, "snr-prior-risk", ok,
@@ -120,16 +109,16 @@ def test_criterion_03_snr_prior_risk(reports):
                     f"{check['params']['threshold']}")
 
 
-def test_criterion_04_grid_response_floor(reports):
-    report = _recipe(reports, "grid-check")
+def test_criterion_04_grid_response_floor(recipe_report):
+    report = recipe_report("grid-check")
     ok = report["violations"] == 0 and report["n_min"] == 16 and report["n_max"] == 512
     assert _verdict(4, "grid-response-floor", ok,
                     f"worst ratio {report['worst_ratio']:.12f} vs floor "
                     f"{report['floor']:.12f}, {report['violations']} violations")
 
 
-def test_criterion_05_gaussian_benchmark(reports):
-    report = _recipe(reports, "fig1a")
+def test_criterion_05_gaussian_benchmark(recipe_report):
+    report = recipe_report("fig1a")
     diff = report["median_mer_difference"]
     ok = abs(diff) <= 0.05
     assert _verdict(5, "gaussian-benchmark", ok,
@@ -138,8 +127,8 @@ def test_criterion_05_gaussian_benchmark(reports):
                     f"scan {report['median_cusum_mer']:.4f}")
 
 
-def test_criterion_06_heavy_tail_ordering(reports):
-    report = _recipe(reports, "fig1d")
+def test_criterion_06_heavy_tail_ordering(recipe_report):
+    report = recipe_report("fig1d")
     gain = report["median_mer_gain"]
     ok = gain >= 0.05
     assert _verdict(6, "heavy-tail-ordering", ok,
@@ -148,8 +137,8 @@ def test_criterion_06_heavy_tail_ordering(reports):
                     f"scan {report['median_cusum_mer']:.4f}")
 
 
-def test_criterion_07_truncation_ordering(reports):
-    report = _recipe(reports, "figb1")
+def test_criterion_07_truncation_ordering(recipe_report):
+    report = recipe_report("figb1")
     margin = report["median_mer_margin"]
     ok = margin <= 0.0
     assert _verdict(7, "truncation-ordering", ok,
@@ -190,16 +179,16 @@ def test_criterion_09_gradient_checks():
                     f"100 networks, max relative error {worst:.3e}")
 
 
-def test_criterion_10_localisation_recovery(reports):
-    report = _recipe(reports, "thm-localisation")
+def test_criterion_10_localisation_recovery(recipe_report):
+    report = recipe_report("thm-localisation")
     ok = report["passed"] and report["reps"] == 500
     assert _verdict(10, "localisation-recovery", ok,
                     f"failure rate {report['empirical']:.4f} over {report['reps']} reps, "
                     f"tolerances {report['params']['tolerances']}")
 
 
-def test_criterion_11_multiclass_ordering(reports):
-    report = _recipe(reports, "table1")
+def test_criterion_11_multiclass_ordering(recipe_report):
+    report = recipe_report("table1")
     ok = (report["oracle_accuracy"] >= report["adaptive_accuracy"]
           and report["network_accuracy"] >= 0.75)
     assert _verdict(11, "multiclass-ordering", ok,
@@ -208,10 +197,10 @@ def test_criterion_11_multiclass_ordering(reports):
                     f"network {report['network_accuracy']:.4f} >= 0.75")
 
 
-def test_criterion_12_reproduce_determinism(reports, tmp_path):
+def test_criterion_12_reproduce_determinism(recipe_report, tmp_path):
     stale = []
     for name in sorted(RECIPES):
-        first = _recipe(reports, name)
+        first = recipe_report(name)
         second = run_recipe(name, SEED)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_report(first, p1)

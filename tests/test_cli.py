@@ -215,8 +215,10 @@ def test_reps_below_the_floor_is_a_usage_error(tmp_path, capsys, recipe, floor):
 
 def test_reps_support_comes_from_the_recipe_signature(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
-    # grid-check takes no reps -> usage error 2
-    assert run(["reproduce", "grid-check", "--reps", 5, "--out", out]) == 2
+    # a recipe that takes no reps -> usage error 2, and no report
+    for name in ("fig1a", "fig1d", "figb1", "table1", "grid-check"):
+        assert run(["reproduce", name, "--reps", 5, "--out", out]) == 2
+        assert not out.exists()
 
     def broken(seed, *, reps=10):
         raise TypeError("internal bug")
@@ -285,12 +287,14 @@ def _with_first_number(entry):
     ("weights", _with_first_number("0.5"), "'weights'"),
     ("weights", _with_first_number(None), "'weights'"),
     ("biases", _with_first_number(True), "'biases'"),
+    ("preprocessor", [["identity"]], "'preprocessor' is malformed: expected a JSON list"),
+    ("preprocessor", ["identity"], "'preprocessor' is malformed: expected a JSON list"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
         "no-weights", "null-threshold", "int-classes", "int-preprocessor",
         "no-preprocessor", "null-preprocessor", "null-hidden",
         "string-threshold", "bool-threshold", "bool-output-dim", "bool-hidden", "float-classes",
         "string-classes", "bool-schema-version", "string-output-bias", "bool-output-bias",
-        "string-weight", "null-weight", "bool-bias"])
+        "string-weight", "null-weight", "bool-bias", "string-step", "string-channel"])
 def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])

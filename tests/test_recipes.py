@@ -1,6 +1,13 @@
-"""Smoke tests of the experiment recipes at reduced sizes."""
+"""Tests of the experiment recipes.
+
+The Figure 1 tests read the full seed-7 reports from the session cache
+of ``conftest.py`` (``recipe_report``), which the acceptance suite
+shares, so no recipe runs twice for them.  The Monte-Carlo recipes are
+also run at reduced ``reps``.
+"""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -8,8 +15,19 @@ import pytest
 from cpdlab import cusum
 from cpdlab.evaluate import tune_threshold
 from cpdlab.network import Preprocessor
-from cpdlab.recipes import RECIPES, fig1a, fig1d, figb1, grid_check, run_recipe
+from cpdlab.recipes import RECIPES, _grid_check_length, run_recipe
 from cpdlab.simulate import ScenarioSpec, gen_scenario
+
+FIGURE1_KEYS = {"recipe", "seed", "scenario", "train_size", "test_size", "epochs", "runs",
+                "median_network_mer"}
+
+
+def _check_figure1_report(report, recipe, scenario, train_size):
+    """The fields every Figure 1 row fixes: 3 runs of 5000 test rows and 200 epochs each."""
+    assert (report["recipe"], report["seed"], report["scenario"]) == (recipe, 7, scenario)
+    assert (report["train_size"], report["test_size"], report["epochs"]) == (train_size, 5000, 200)
+    assert [r["seed"] for r in report["runs"]] == [7, 1007, 2007]
+    assert 0.0 <= report["median_network_mer"] <= 1.0
 
 
 def test_registry_names():
@@ -22,42 +40,66 @@ def test_unknown_recipe_rejected():
         run_recipe("fig9z")
 
 
-def test_fig1a_report_fields_small():
-    report = fig1a(3, train_size=60, test_size=200, n_seeds=1, epochs=3)
-    assert "median_cusum_mer" in report and "median_network_mer" in report
-    assert report["runs"][0].keys() >= {"cusum_mer", "network_mer", "threshold"}
-    assert 0.0 <= report["median_network_mer"] <= 1.0
+@pytest.mark.parametrize("name, keywords", [
+    ("fig1a", ("train_size", "test_size", "n_seeds", "epochs")),
+    ("fig1d", ("train_size", "test_size", "n_seeds", "epochs")),
+    ("figb1", ("train_size", "test_size", "n_seeds", "epochs", "z", "clip_passes")),
+    ("table1", ("regime", "per_class_train", "per_class_test", "epochs")),
+    ("grid-check", ("n_min", "n_max")),
+], ids=["fig1a", "fig1d", "figb1", "table1", "grid-check"])
+def test_recipe_takes_no_size(name, keywords):
+    for keyword in keywords:
+        with pytest.raises(TypeError):
+            run_recipe(name, 7, **{keyword: 60})
 
 
-def test_fig1d_report_fields_small():
-    report = fig1d(3, train_size=60, test_size=200, n_seeds=2, epochs=3)
-    assert report.keys() == {"recipe", "seed", "scenario", "train_size", "test_size", "epochs",
-                             "runs", "median_network_mer", "median_cusum_mer",
-                             "median_mer_gain"}
-    assert (report["recipe"], report["scenario"]) == ("fig1d", "S3")
-    assert [r["seed"] for r in report["runs"]] == [3, 1003]
+def test_cached_reports_are_copies(recipe_report):
+    recipe_report("grid-check")["violations"] = -1
+    assert recipe_report("grid-check")["violations"] == 0
+
+
+def test_fig1a_report_fields_small(recipe_report):
+    report = recipe_report("fig1a")
+    assert report.keys() == FIGURE1_KEYS | {"median_cusum_mer", "median_mer_difference"}
+    _check_figure1_report(report, "fig1a", "S1", 700)
     for r in report["runs"]:
         assert r.keys() == {"seed", "threshold", "cusum_mer", "network_mer"}
-    assert 0.0 <= report["median_network_mer"] <= 1.0
 
 
-def test_figb1_report_fields_small():
-    z, passes = 3.0, 2
-    report = figb1(3, train_size=60, test_size=200, n_seeds=2, epochs=3, z=z,
-                   clip_passes=passes)
-    assert report.keys() == {"recipe", "seed", "scenario", "truncation_z", "clip_passes",
-                             "train_size", "test_size", "epochs", "runs",
-                             "median_network_mer", "median_wilcoxon_mer", "median_mer_margin"}
-    assert (report["recipe"], report["scenario"]) == ("figb1", "S3")
-    assert [r["seed"] for r in report["runs"]] == [3, 1003]
-    pre = Preprocessor(((*(("truncate", z),) * passes, ("unit_scale",)),))
+def test_fig1d_report_fields_small(recipe_report):
+    report = recipe_report("fig1d")
+    assert report.keys() == FIGURE1_KEYS | {"median_cusum_mer", "median_mer_gain"}
+    _check_figure1_report(report, "fig1d", "S3", 1000)
+    for r in report["runs"]:
+        assert r.keys() == {"seed", "threshold", "cusum_mer", "network_mer"}
+
+
+def test_figb1_report_fields_small(recipe_report):
+    report = recipe_report("figb1")
+    assert report.keys() == FIGURE1_KEYS | {"truncation_z", "clip_passes", "median_wilcoxon_mer",
+                                            "median_mer_margin"}
+    _check_figure1_report(report, "figb1", "S3", 1000)
+    assert (report["truncation_z"], report["clip_passes"]) == (3.0, 12)
+    pre = Preprocessor(((*(("truncate", 3.0),) * 12, ("unit_scale",)),))
     for r in report["runs"]:
         assert r.keys() == {"seed", "wilcoxon_threshold", "scan_threshold", "wilcoxon_mer",
                             "network_mer"}
-        train = gen_scenario(ScenarioSpec("S3", size=60, role="train"), r["seed"])
+        train = gen_scenario(ScenarioSpec("S3", size=1000, role="train"), r["seed"])
         stats = cusum.cusum_statistic(pre.apply(train.values))[0]
         assert r["scan_threshold"] == tune_threshold(stats, train.labels)
-    assert 0.0 <= report["median_network_mer"] <= 1.0
+
+
+@pytest.mark.parametrize("name, key, minuend, subtrahend", [
+    ("fig1a", "median_mer_difference", "network_mer", "cusum_mer"),
+    ("fig1d", "median_mer_gain", "cusum_mer", "network_mer"),
+    ("figb1", "median_mer_margin", "network_mer", "wilcoxon_mer"),
+], ids=["fig1a", "fig1d", "figb1"])
+def test_figure1_summary_is_the_median_run_difference(recipe_report, name, key, minuend,
+                                                      subtrahend):
+    report = recipe_report(name)
+    expected = statistics.median(r[minuend] - r[subtrahend] for r in report["runs"])
+    # Bit for bit: swapped operands would turn a 0.0 into -0.0.
+    assert report[key].hex() == expected.hex()
 
 
 def test_localisation_recipe_small():
@@ -89,11 +131,6 @@ def _grid_check_full_windows(n):
 
 
 def test_grid_check_endpoints_equal_full_windows():
-    # Exactly, not approximately: length by length, then over the range.
-    reference = {n: _grid_check_full_windows(n) for n in range(16, 129)}
-    for n, (worst, violations) in reference.items():
-        report = grid_check(n_min=n, n_max=n)
-        assert (report["worst_ratio"], report["violations"]) == (worst, violations)
-    report = grid_check(n_min=16, n_max=128)
-    assert report["worst_ratio"] == min(worst for worst, _ in reference.values())
-    assert report["violations"] == sum(v for _, v in reference.values()) == 0
+    # Exactly, not approximately, length by length.
+    for n in range(16, 129):
+        assert _grid_check_length(n) == _grid_check_full_windows(n)
