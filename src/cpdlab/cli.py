@@ -50,20 +50,17 @@ def _parse_preprocess(text: str) -> Preprocessor:
     """Parse 'unit_scale' or 'truncate:3+unit_scale|square+unit_scale' syntax.
 
     '|' separates channels, '+' separates steps inside a channel and
-    ':' attaches a numeric parameter to a step.
+    ':' attaches a numeric parameter to a step.  An empty step raises
+    ``ValueError``, so no channel or step quietly means ``identity``.
     """
     channels = []
     for chunk in text.split("|"):
         steps = []
         for item in chunk.split("+"):
-            item = item.strip()
-            if not item:
-                continue
-            if ":" in item:
-                name, value = item.split(":", 1)
-                steps.append((name.strip(), float(value)))
-            else:
-                steps.append((item,))
+            if not item.strip():
+                raise ValueError(f"--preprocess {text!r} has an empty step")
+            name, colon, value = item.partition(":")
+            steps.append((name.strip(), float(value)) if colon else (name.strip(),))
         channels.append(tuple(steps))
     return Preprocessor(tuple(channels))
 
@@ -123,7 +120,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     pre = _parse_preprocess(args.preprocess)
-    hidden = tuple(int(w) for w in args.hidden.split(",") if w)
+    widths = args.hidden.split(",")
+    if not all(w.strip() for w in widths):
+        raise ValueError(f"--hidden {args.hidden!r} has an empty width")
+    hidden = tuple(map(int, widths))
     classes = np.unique(dataset.labels)
     output_dim = 1 if set(classes.tolist()) <= {0, 1} else classes.size
     arch = Architecture(pre.output_dim(dataset.n), hidden, output_dim)
@@ -169,7 +169,7 @@ def _cmd_detect(args) -> int:
         write_report({
             "command": "detect",
             "method": args.method,
-            "report": report.to_jsonable(),
+            "report": report,
             "decisions": preds,
             "statistics": stats,
         }, args.out)
@@ -191,7 +191,7 @@ def _cmd_localise(args) -> int:
         res = localise(row, classifier, args.gamma)
         results.append({
             "change_points": res.change_points,
-            "segments": [list(s) for s in res.segments],
+            "segments": res.segments,
         })
     write_report({
         "command": "localise",
@@ -220,7 +220,7 @@ def _cmd_evaluate(args) -> int:
         report = scan_report(args.method, train_set, test_set, threshold=args.threshold,
                              seed=args.seed)
     write_report({"command": "evaluate", "method": args.method,
-                  "report": report.to_jsonable()}, args.out)
+                  "report": report}, args.out)
     print(f"MER {report.mer:.4f} on {report.size} examples -> {args.out}")
     return 0
 
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -17,7 +17,7 @@ series of shape (n,) or a batch of shape (N, n); a scan classifies a
 series as changed when its statistic strictly exceeds the threshold,
 ``statistic > threshold``, so a tie classifies as 0.  All functions are
 pure; the contrast matrix returned by :func:`cusum_basis` is cached per
-length and marked read-only so it can be shared across workers.
+length and marked read-only, as every caller of that length shares it.
 """
 
 from __future__ import annotations

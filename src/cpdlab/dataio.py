@@ -23,12 +23,14 @@ not end a line.  A malformed row, a wrong field count or a non-finite
 value is reported with its line number; the first error in the file
 wins.
 
-JSON reports carry a ``schema_version`` field and are written with
-sorted keys, so equal report dictionaries serialise to equal bytes.
+:func:`dumps` is the one JSON encoder of reports and network files:
+sorted keys, a two-space indent and a final newline, so equal payloads
+serialise to equal bytes.  Reports carry a ``schema_version`` field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -42,6 +44,7 @@ __all__ = [
     "save_values",
     "load_values",
     "jsonable",
+    "dumps",
     "write_report",
     "read_report",
 ]
@@ -237,7 +240,9 @@ def _check_finite(path, values: np.ndarray, linenos) -> np.ndarray:
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars and arrays to plain Python values."""
+    """Recursively convert dataclass instances, tuples and numpy values to plain Python values."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -249,16 +254,21 @@ def jsonable(obj):
     return obj
 
 
+def dumps(payload) -> str:
+    """The JSON text of ``payload`` as every artifact is written: sorted keys, indent 2, newline."""
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
 def write_report(report: dict, path) -> None:
     """Write a JSON report with a schema version and deterministic bytes."""
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, **jsonable(report)}
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, **report}
+    Path(path).write_text(dumps(payload), encoding="ascii")
 
 
 def read_report(path) -> dict:
     payload = json.loads(Path(path).read_text(encoding="ascii"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a report must hold a JSON object")
     version = payload.get("schema_version")
     if type(version) is not int or version != REPORT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported report schema version {version!r}")

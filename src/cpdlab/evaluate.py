@@ -17,7 +17,7 @@ plus a few numbers per replication, whatever the number of replications.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,11 +57,6 @@ class EvalReport:
     threshold: float | None = None
     seed: int | None = None
     fingerprint: str | None = None
-
-    def to_jsonable(self) -> dict:
-        data = asdict(self)
-        data["per_class"] = {str(k): v for k, v in self.per_class.items()}
-        return data
 
 
 def mer_from_predictions(true_labels, predicted, *, threshold=None, seed=None,
@@ -170,9 +165,6 @@ class BoundCheck:
     reps: int
     seed: int
     params: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 def monte_carlo_bound_check(kind: str, reps: int = 20000, seed: int = 0) -> BoundCheck:
@@ -310,10 +302,9 @@ def _localisation_failure_rate(rng, reps, /, *, window=128, length=3500,
         found = np.asarray(localise(series, classifier, gamma).change_points, dtype=np.float64)
         if found.size != len(taus) or np.any(np.abs(found - np.asarray(taus)) > tolerances):
             failures += 1
-    used = {"window": window, "length": length, "taus": list(taus),
-            "means": list(means), "snr_bound": snr_bound, "gamma": gamma,
-            "noise_sd": noise_sd, "threshold": threshold,
-            "tolerances": tolerances.tolist()}
+    used = {"window": window, "length": length, "taus": taus, "means": means,
+            "snr_bound": snr_bound, "gamma": gamma, "noise_sd": noise_sd,
+            "threshold": threshold, "tolerances": tolerances}
     return failures / reps, failure_bound, used
 
 
@@ -340,9 +331,6 @@ class LocalisationErrorReport:
     rmse: float
     scored: int
     failed: int
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 def localisation_rmse(estimates, truths) -> LocalisationErrorReport:

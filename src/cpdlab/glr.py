@@ -127,23 +127,19 @@ class GlrDirections:
     directions: np.ndarray
 
 
-def mean_change_design(n: int, noise_transform=None, taus=None) -> ChangeDesign:
-    """Design for one mean shift: intercept base, step covariates."""
-    if taus is None:
-        taus = range(1, n)
+def mean_change_design(n: int, noise_transform=None) -> ChangeDesign:
+    """Design for one mean shift after any of 1..n-1: intercept base, step covariates."""
     base = np.ones((n, 1))
     idx = np.arange(1, n + 1)
-    covs = {int(t): (idx > t).astype(np.float64) for t in taus}
+    covs = {t: (idx > t).astype(np.float64) for t in range(1, n)}
     return ChangeDesign(base, covs, noise_transform)
 
 
-def slope_change_design(n: int, noise_transform=None, taus=None) -> ChangeDesign:
-    """Design for one continuous slope change: intercept+trend base, hinge covariates."""
-    if taus is None:
-        taus = range(1, n)
+def slope_change_design(n: int, noise_transform=None) -> ChangeDesign:
+    """One continuous slope change after any of 1..n-1: intercept+trend base, hinge covariates."""
     idx = np.arange(1, n + 1, dtype=np.float64)
     base = np.column_stack([np.ones(n), idx])
-    covs = {int(t): np.maximum(0.0, idx - t) for t in taus}
+    covs = {t: np.maximum(0.0, idx - t) for t in range(1, n)}
     return ChangeDesign(base, covs, noise_transform)
 
 

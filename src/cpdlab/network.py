@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cusum import _row_blocks, cusum_basis, dyadic_grid
+from .dataio import dumps
 from .robust import zscore_truncate
 
 __all__ = [
@@ -293,6 +294,8 @@ class Preprocessor:
     channels: tuple[tuple, ...] = ((("unit_scale",),))
 
     def __post_init__(self):
+        if not (self.channels and all(self.channels)):
+            raise ValueError("a preprocessor needs at least one channel, each of at least one step")
         norm = []
         for channel in self.channels:
             steps = []
@@ -336,12 +339,9 @@ class Preprocessor:
                 out[block, c * n:c * n + v.shape[1]] = v
         return out[0] if single else out
 
-    def to_jsonable(self) -> list:
-        return [[list(step) for step in channel] for channel in self.channels]
-
     @classmethod
     def from_jsonable(cls, data) -> "Preprocessor":
-        """Inverse of :meth:`to_jsonable`.
+        """Inverse of ``jsonable(preprocessor.channels)``, the form a network file holds.
 
         Channels and steps must be JSON lists and step parameters JSON
         numbers; anything else raises ``TypeError``.
@@ -700,24 +700,19 @@ def grad_check(net: Network, x, y, step: float = 1e-5, kink_margin: float = 1e-6
 def network_to_json(net: Network, preprocessor: Preprocessor) -> str:
     """Serialise a network and the preprocessor that makes its input to versioned JSON.
 
-    Floats are written with shortest round-trip decimals, so loading the
-    string back yields bit-identical parameters.
+    :func:`cpdlab.dataio.dumps` writes floats with shortest round-trip
+    decimals, so loading the string back yields bit-identical parameters.
     """
-    payload = {
+    return dumps({
         "schema_version": SCHEMA_VERSION,
-        "architecture": {
-            "input_dim": net.architecture.input_dim,
-            "hidden": list(net.architecture.hidden),
-            "output_dim": net.architecture.output_dim,
-        },
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "output_bias": net.output_bias.tolist(),
+        "architecture": net.architecture,
+        "weights": net.weights,
+        "biases": net.biases,
+        "output_bias": net.output_bias,
         "threshold": net.threshold,
-        "classes": list(net.classes) if net.classes is not None else None,
-        "preprocessor": preprocessor.to_jsonable(),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        "classes": net.classes,
+        "preprocessor": preprocessor.channels,
+    })
 
 
 def _field(data: dict, name: str, convert):

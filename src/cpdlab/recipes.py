@@ -37,6 +37,7 @@ from functools import partial
 import numpy as np
 
 from . import cusum, glr
+from .dataio import jsonable
 from .evaluate import (
     EvalReport,
     batch_cusum_statistics,
@@ -190,9 +191,9 @@ def table1(seed: int) -> dict:
         "per_class_test": per_class_test,
         "epochs": epochs,
         "thresholds": thresholds,
-        "oracle": oracle_report.to_jsonable(),
-        "adaptive": adaptive_report.to_jsonable(),
-        "network": net_report.to_jsonable(),
+        "oracle": jsonable(oracle_report),
+        "adaptive": jsonable(adaptive_report),
+        "network": jsonable(net_report),
         "oracle_accuracy": oracle_report.accuracy,
         "adaptive_accuracy": adaptive_report.accuracy,
         "network_accuracy": net_report.accuracy,
@@ -202,7 +203,7 @@ def table1(seed: int) -> dict:
 def _bound_recipe(recipe: str, kind: str, seed: int, *, reps: int) -> dict:
     """The Monte-Carlo check ``kind`` of :func:`monte_carlo_bound_check` as a report."""
     check = monte_carlo_bound_check(kind, reps=reps, seed=seed)
-    return {"recipe": recipe, "seed": seed, **check.to_jsonable()}
+    return {"recipe": recipe, "seed": seed, **jsonable(check)}
 
 
 _GRID_FLOOR = math.sqrt(3.0) / 3.0

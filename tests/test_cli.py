@@ -178,6 +178,15 @@ def test_exit_codes(tmp_path, capsys):
     for flag in ("--learning-rate", "--lr-decay"):
         assert run(["train", "--data", data, "--epochs", 1, flag, "nan",
                     "--out", tmp_path / "net.json"]) == 2
+    # a path that is a directory, or that runs through a file -> 2, not an internal failure
+    for data_path, out_path in ((tmp_path, out), (data / "x.csv", out), (data, tmp_path)):
+        assert run(["detect", "--method", "cusum", "--threshold", 3, "--data", data_path,
+                    "--out", out_path]) == 2
+    assert run(["localise", "--window", 4, "--threshold", 3, "--data", values,
+                "--out", values / "r.json"]) == 2
+    assert run(["train", "--data", data, "--epochs", 1, "--out", tmp_path]) == 2
+    assert run(["simulate", "--N", 10, "--out", tmp_path]) == 2
+    assert not out.exists()
 
 
 def test_unread_option_is_named(tmp_path, capsys):
@@ -289,12 +298,15 @@ def _with_first_number(entry):
     ("biases", _with_first_number(True), "'biases'"),
     ("preprocessor", [["identity"]], "'preprocessor' is malformed: expected a JSON list"),
     ("preprocessor", ["identity"], "'preprocessor' is malformed: expected a JSON list"),
+    ("preprocessor", [], "'preprocessor' is malformed: a preprocessor needs"),
+    ("preprocessor", [[]], "'preprocessor' is malformed: a preprocessor needs"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
         "no-weights", "null-threshold", "int-classes", "int-preprocessor",
         "no-preprocessor", "null-preprocessor", "null-hidden",
         "string-threshold", "bool-threshold", "bool-output-dim", "bool-hidden", "float-classes",
         "string-classes", "bool-schema-version", "string-output-bias", "bool-output-bias",
-        "string-weight", "null-weight", "bool-bias", "string-step", "string-channel"])
+        "string-weight", "null-weight", "bool-bias", "string-step", "string-channel",
+        "no-channel", "empty-channel"])
 def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])
@@ -330,6 +342,21 @@ def test_parameter_on_parameterless_step_exits_two(tmp_path, capsys):
         assert run(["train", "--data", data, "--epochs", 1, "--preprocess", spec,
                     "--out", out]) == 2
         assert "takes no parameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--preprocess", "|"), ("--preprocess", "unit_scale|"), ("--preprocess", "unit_scale++square"),
+    ("--preprocess", ""), ("--preprocess", " + "), ("--hidden", "4,"), ("--hidden", "4,,8"),
+    ("--hidden", ""),
+])
+def test_empty_preprocessing_step_or_width_exits_two(tmp_path, capsys, option, value):
+    data = tmp_path / "d.csv"
+    run(["simulate", "--N", 10, "--seed", 5, "--out", data])
+    out = tmp_path / "net.json"
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--epochs", 1, option, value, "--out", out]) == 2
+    assert f"{option} {value!r} has an empty" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from cpdlab.dataio import (
     save_values,
     write_report,
 )
+from cpdlab.evaluate import mer_from_predictions
 from cpdlab.simulate import LabeledDataset, ScenarioSpec, gen_scenario
 
 # Finite floats, with the extremes a decimal round trip must keep: signed
@@ -394,3 +395,70 @@ def test_report_bytes_deterministic(tmp_path):
     write_report(report, p1)
     write_report(report, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", '"report"', "3", "null"])
+def test_report_must_be_a_json_object(tmp_path, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        read_report(path)
+
+
+# One report byte for byte: every change of the encoder shows here.
+_REPORT = """\
+{
+  "array": [
+    [
+      1.0,
+      2.0
+    ],
+    [
+      3.0,
+      4.5
+    ]
+  ],
+  "count": 2,
+  "pair": [
+    1,
+    2.5
+  ],
+  "report": {
+    "accuracy": 0.75,
+    "fingerprint": "abc",
+    "mer": 0.25,
+    "per_class": {
+      "0": {
+        "correct": 1,
+        "count": 1,
+        "tpr": 1.0
+      },
+      "1": {
+        "correct": 1,
+        "count": 2,
+        "tpr": 0.5
+      },
+      "2": {
+        "correct": 1,
+        "count": 1,
+        "tpr": 1.0
+      }
+    },
+    "seed": 3,
+    "size": 4,
+    "threshold": 0.5
+  },
+  "scalar": 0.125,
+  "schema_version": 1
+}
+"""
+
+
+def test_report_written_bytes(tmp_path):
+    """A dataclass, a tuple, numpy scalars and an array become plain JSON values."""
+    report = mer_from_predictions([0, 1, 1, 2], [0, 1, 0, 2], threshold=0.5, seed=3,
+                                  fingerprint="abc")
+    path = tmp_path / "r.json"
+    write_report({"report": report, "pair": (1, 2.5), "scalar": np.float64(0.125),
+                  "count": np.int64(2), "array": np.array([[1.0, 2.0], [3.0, 4.5]])}, path)
+    assert path.read_text(encoding="ascii") == _REPORT

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpdlab import cusum
+from cpdlab.dataio import jsonable
 from cpdlab.network import (
     Architecture,
     Network,
@@ -134,7 +135,13 @@ class TestPreprocessor:
 
     def test_jsonable_roundtrip(self):
         pre = Preprocessor(((("truncate", 3.0), ("unit_scale",)), (("square",),)))
-        assert Preprocessor.from_jsonable(pre.to_jsonable()) == pre
+        assert Preprocessor.from_jsonable(jsonable(pre.channels)) == pre
+
+    @pytest.mark.parametrize("channels", [(), ((),), (("unit_scale",), ())],
+                             ids=["no-channel", "empty-channel", "one-empty-of-two"])
+    def test_empty_channel_rejected(self, channels):
+        with pytest.raises(ValueError, match="at least one channel, each of at least one step"):
+            Preprocessor(channels)
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7])
     def test_blocks_equal_one_whole_batch_call(self, monkeypatch, block_rows):
@@ -722,6 +729,114 @@ class TestFlatEngine:
         assert trained.params.tobytes() != before
 
 
+# Two network files byte for byte: every change of the encoder shows here.
+_BINARY_FILE = """\
+{
+  "architecture": {
+    "hidden": [
+      2
+    ],
+    "input_dim": 2,
+    "output_dim": 1
+  },
+  "biases": [
+    [
+      1.5,
+      1.5
+    ]
+  ],
+  "classes": null,
+  "output_bias": [
+    0.0
+  ],
+  "preprocessor": [
+    [
+      [
+        "identity"
+      ]
+    ]
+  ],
+  "schema_version": 1,
+  "threshold": 0.0,
+  "weights": [
+    [
+      [
+        0.7071067811865476,
+        -0.7071067811865476
+      ],
+      [
+        -0.7071067811865476,
+        0.7071067811865476
+      ]
+    ],
+    [
+      [
+        1.0,
+        1.0
+      ]
+    ]
+  ]
+}
+"""
+_MULTICLASS_FILE = """\
+{
+  "architecture": {
+    "hidden": [
+      1
+    ],
+    "input_dim": 1,
+    "output_dim": 2
+  },
+  "biases": [
+    [
+      0.125
+    ]
+  ],
+  "classes": [
+    0,
+    4
+  ],
+  "output_bias": [
+    0.0,
+    3.0
+  ],
+  "preprocessor": [
+    [
+      [
+        "truncate",
+        3.0
+      ],
+      [
+        "unit_scale"
+      ]
+    ],
+    [
+      [
+        "square"
+      ]
+    ]
+  ],
+  "schema_version": 1,
+  "threshold": 0.0,
+  "weights": [
+    [
+      [
+        0.5
+      ]
+    ],
+    [
+      [
+        1.0
+      ],
+      [
+        -0.25
+      ]
+    ]
+  ]
+}
+"""
+
+
 class TestSerialisation:
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(15)
@@ -752,6 +867,16 @@ class TestSerialisation:
     def test_version_check(self):
         with pytest.raises(ValueError, match="schema version"):
             network_from_json('{"schema_version": 99}')
+
+    @pytest.mark.parametrize("net, pre, expected", [
+        (embed_cusum(2, 1.5), Preprocessor((("identity",),)), _BINARY_FILE),
+        (Network(Architecture(1, (1,), 2), [np.array([[0.5]]), np.array([[1.0], [-0.25]])],
+                 [np.array([0.125])], np.array([0.0, 3.0]), classes=(0, 4)),
+         Preprocessor(((("truncate", 3), ("unit_scale",)), ("square",))), _MULTICLASS_FILE),
+    ], ids=["binary", "multiclass"])
+    def test_written_bytes(self, net, pre, expected):
+        """Sorted keys, a two-space indent, a final newline and shortest float decimals."""
+        assert network_to_json(net, pre) == expected
 
     def test_serialised_twice_identical(self):
         net, pre = embed_cusum(12, 2.0), Preprocessor((("identity",),))
