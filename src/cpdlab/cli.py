@@ -14,8 +14,11 @@ does not read.
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -296,6 +299,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Raise the error that opening ``path`` for writing would, without creating it.
+
+    Checked before a command runs, so a bad ``--out`` costs no training or scan.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _reject_undeclared(parser, argv) -> None:
     """Exit 2 naming every ``--`` option in ``argv`` that its command does not declare.
 
@@ -324,6 +338,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,11 @@ fig1a, fig1d and figb1 are rows of one run loop; each row fixes its
 scenario, scan, network input and start, and training size (700 or
 1000).  Run ``k`` of 3 draws its training set from seed ``seed + 1000 k``
 and its 5000-row test set from that seed plus 1, scores the scan with
-:func:`cpdlab.evaluate.scan_report` and the network (200 epochs) with
-the one train-and-score helper, which table1 uses too.  The four
-Monte-Carlo recipes are one function with their own check and reps.
+:func:`cpdlab.evaluate.scan_report`, then trains the network (200 epochs)
+with the one train helper and scores it with the one score helper, which
+table1 uses too.  table1 trains before it draws its test mixture, so only
+one mixture is in memory at a time.  The four Monte-Carlo recipes are one
+function with their own check and reps.
 """
 
 from __future__ import annotations
@@ -53,14 +55,14 @@ from .simulate import LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multicla
 __all__ = ["RECIPES", "run_recipe"]
 
 
-def _network_report(train_set, test_set, pre: Preprocessor, start, config: TrainConfig,
-                    output_dim: int = 1) -> EvalReport:
-    """Train a network on ``pre`` features of ``train_set`` and score it on ``test_set``.
+def _train_network(train_set, pre: Preprocessor, start, config: TrainConfig,
+                   output_dim: int = 1):
+    """``(net, threshold)``: a network trained on ``pre`` features of ``train_set``.
 
     ``start`` is a tuple of hidden widths for a random start, or
     ``"cusum"`` for the CUSUM scan embedded at the threshold tuned on the
-    training features.  That threshold is the report's ``threshold``,
-    which stays ``None`` for a random start.
+    training features.  ``threshold`` is that tuned threshold, or
+    ``None`` for a random start.  The features are freed on return.
     """
     feats = pre.apply(train_set.values)
     if start == "cusum":
@@ -70,11 +72,14 @@ def _network_report(train_set, test_set, pre: Preprocessor, start, config: Train
     else:
         threshold = init = None
         arch = Architecture(feats.shape[1], start, output_dim)
-    net = train(feats, train_set.labels, arch, config, init=init)
-    del feats  # unread after training: free it before the test features are made
+    return train(feats, train_set.labels, arch, config, init=init), threshold
+
+
+def _score_network(net, threshold, pre: Preprocessor, test_set, seed: int) -> EvalReport:
+    """Score ``net`` on ``pre`` features of ``test_set``; ``threshold`` is the report's."""
     _, predictions = forward(net, pre.apply(test_set.values))
     return mer_from_predictions(test_set.labels, predictions, threshold=threshold,
-                                seed=config.seed, fingerprint=test_set.fingerprint())
+                                seed=seed, fingerprint=test_set.fingerprint())
 
 
 # Every Figure 1 row's test size, number of runs and training epochs.
@@ -98,10 +103,11 @@ def _scan_versus_network(recipe, scenario, method, pre, start, train_size, thres
         train_set = gen_scenario(ScenarioSpec(scenario, size=train_size, role="train"), run_seed)
         test_set = gen_scenario(ScenarioSpec(scenario, size=_TEST_SIZE, role="test"), run_seed + 1)
         scan = scan_report(method, train_set, test_set, seed=run_seed)
-        net = _network_report(train_set, test_set, pre, start,
-                              TrainConfig(epochs=_EPOCHS, seed=run_seed))
-        return {"seed": run_seed, **dict(zip(threshold_keys, (scan.threshold, net.threshold))),
-                f"{method}_mer": scan.mer, "network_mer": net.mer}
+        net, net_threshold = _train_network(train_set, pre, start,
+                                            TrainConfig(epochs=_EPOCHS, seed=run_seed))
+        net_mer = _score_network(net, net_threshold, pre, test_set, run_seed).mer
+        return {"seed": run_seed, **dict(zip(threshold_keys, (scan.threshold, net_threshold))),
+                f"{method}_mer": scan.mer, "network_mer": net_mer}
 
     runs = [run(k) for k in range(_RUNS)]
     key, minuend, subtrahend = summary
@@ -155,21 +161,25 @@ def table1(seed: int) -> dict:
     """Five-class mixture: oracle and adaptive likelihood classifiers vs a deep net.
 
     The oracle thresholds are tuned per change type on the training
-    split; the network is a depth-5 multilayer perceptron on
-    (scaled x, scaled x^2) features.
+    mixture; the network is a depth-5 multilayer perceptron on
+    (scaled x, scaled x^2) features.  The recipe trains before it draws
+    its test mixture, so only one mixture is in memory at a time.
     """
     regime, per_class_train, per_class_test, epochs = "strong", 400, 200, 200
-    spec_train = MulticlassSpec(regime, per_class=per_class_train)
-    spec_test = MulticlassSpec(regime, per_class=per_class_test)
-    train_set = gen_multiclass(spec_train, seed)
-    test_set = gen_multiclass(spec_test, seed + 1)
+    pre = Preprocessor((("unit_scale",), (("square",), ("unit_scale",))))
 
+    train_set = gen_multiclass(MulticlassSpec(regime, per_class=per_class_train), seed)
     thresholds = {}
     for kind, method, fired, idle, _ in _ORACLE_TESTS:
         mask = np.isin(train_set.labels, (fired, idle))
         thresholds[kind] = tune_threshold(scan_statistics(method, train_set.values[mask]),
                                           train_set.labels[mask] == fired)
+    width = 4 * (train_set.n.bit_length() - 1)
+    net, _ = _train_network(train_set, pre, (width,) * 5,
+                            TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02), 5)
+    del train_set
 
+    test_set = gen_multiclass(MulticlassSpec(regime, per_class=per_class_test), seed + 1)
     oracle_report = mer_from_predictions(
         test_set.labels, _oracle_predictions(test_set, thresholds),
         seed=seed, fingerprint=test_set.fingerprint())
@@ -177,11 +187,7 @@ def table1(seed: int) -> dict:
         test_set.labels,
         glr.adaptive_classify(test_set.values),
         seed=seed, fingerprint=test_set.fingerprint())
-
-    pre = Preprocessor((("unit_scale",), (("square",), ("unit_scale",))))
-    width = 4 * (spec_train.n.bit_length() - 1)
-    net_report = _network_report(train_set, test_set, pre, (width,) * 5,
-                                 TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02), 5)
+    net_report = _score_network(net, None, pre, test_set, seed)
 
     return {
         "recipe": "table1",

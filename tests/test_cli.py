@@ -189,6 +189,26 @@ def test_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, out, error", [
+    ("train", ".", "Is a directory"),
+    ("reproduce", "missing/x.json", "No such file or directory"),
+    ("reproduce", "s.csv/x.json", "Not a directory"),
+])
+def test_bad_out_exits_two_before_the_work(tmp_path, capsys, monkeypatch, command, out, error):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "train", work)
+    monkeypatch.setattr(cli, "run_recipe", work)
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--N", 10, "--out", "s.csv"]) == 0
+    argv = {"train": ["train", "--data", "s.csv"], "reproduce": ["reproduce", "grid-check"]}
+    capsys.readouterr()
+    assert run([*argv[command], "--out", out]) == 2
+    assert error in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
 def test_unread_option_is_named(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run(["simulate", "--multiclass", "weak", "--n", 50, "--role", "test",

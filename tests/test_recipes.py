@@ -8,15 +8,17 @@ also run at reduced ``reps``.
 
 import math
 import statistics
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cpdlab import cusum
+from cpdlab import cusum, recipes
 from cpdlab.evaluate import tune_threshold
-from cpdlab.network import Preprocessor
+from cpdlab.network import Preprocessor, _init_network
 from cpdlab.recipes import RECIPES, _grid_check_length, run_recipe
-from cpdlab.simulate import ScenarioSpec, gen_scenario
+from cpdlab.simulate import ScenarioSpec, gen_multiclass, gen_scenario
 
 FIGURE1_KEYS = {"recipe", "seed", "scenario", "train_size", "test_size", "epochs", "runs",
                 "median_network_mer"}
@@ -100,6 +102,29 @@ def test_figure1_summary_is_the_median_run_difference(recipe_report, name, key, 
     expected = statistics.median(r[minuend] - r[subtrahend] for r in report["runs"])
     # Bit for bit: swapped operands would turn a 0.0 into -0.0.
     assert report[key].hex() == expected.hex()
+
+
+def test_table1_trains_before_it_draws_its_test_mixture(monkeypatch):
+    # An untrained network of the same architecture stands in for training,
+    # so the recipe runs in about a second; only the order is under test.
+    def untrained(X, y, arch, config, init=None):
+        net = _init_network(arch, np.random.default_rng(config.seed))
+        return replace(net, classes=tuple(np.unique(y).tolist()))
+
+    drawn, alive_at_draw = [], []
+
+    def draw(spec, seed):
+        alive_at_draw.append([s for s, refs in drawn if any(r() is not None for r in refs)])
+        dataset = gen_multiclass(spec, seed)
+        drawn.append((seed, (weakref.ref(dataset), weakref.ref(dataset.values))))
+        return dataset
+
+    monkeypatch.setattr(recipes, "train", untrained)
+    monkeypatch.setattr(recipes, "gen_multiclass", draw)
+    report = run_recipe("table1", 7)
+    assert [seed for seed, _ in drawn] == [7, 8]
+    assert alive_at_draw == [[], []]
+    assert report["network"]["size"] == 5 * report["per_class_test"]
 
 
 def test_localisation_recipe_small():
