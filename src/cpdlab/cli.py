@@ -44,7 +44,7 @@ from .network import (
 )
 from .recipes import RECIPES, run_recipe
 from .robust import wilcoxon_statistic  # noqa: F401  (perfbench's tracer test wraps it here)
-from .simulate import MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
+from .simulate import SCENARIOS, MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
 
 __all__ = ["main"]
 
@@ -259,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("simulate", _cmd_simulate, "generate a labelled dataset CSV", seeded)
-    p.add_argument("--scenario", help="S1 (default), S1', S2 or S3, spelled exactly")
+    p.add_argument("--scenario",
+                   help=f"one of {', '.join(SCENARIOS)}, spelled exactly (default S1)")
     p.add_argument("--multiclass", choices=("weak", "strong"),
                    help="generate the five-class mixture instead of a scenario")
     p.add_argument("--n", type=int, help="series length (default 100)")

@@ -82,7 +82,8 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(f"{path}: empty dataset file")
         header = first.split(",")
         if len(header) < 3 or header[0] != "label" or header[1] != "tau":
-            raise ValueError(f"{path}: header must start with 'label,tau', got {first!r}")
+            got = ",".join(header[:2])  # the fields checked; a data line can run to kilobytes
+            raise ValueError(f"{path}: header must start with 'label,tau', got {got!r}")
         n = len(header) - 2
         for j, name in enumerate(header[2:], start=1):
             if name != f"x{j}":

@@ -1,7 +1,8 @@
 """Seeded generators for every synthetic benchmark used by the package.
 
 Binary scenario datasets pair mean-change series against no-change noise
-under four noise regimes, named exactly as below (``SCENARIOS``):
+under four noise regimes, named exactly as below (``SCENARIOS``).  Each
+is one row of the scenario table ``_NOISE_LAWS``:
 
     S1   independent standard Gaussian
     S1'  AR(1) with coefficient 0.7, Gaussian innovations
@@ -9,9 +10,10 @@ under four noise regimes, named exactly as below (``SCENARIOS``):
          Gaussian innovations with variance 2
     S3   independent Cauchy(0, 0.3)
 
-Change magnitudes scale with ``snr_base`` so detection stays neither
-trivial nor hopeless across change locations; test-role datasets widen
-the magnitude band.  The multiclass generator produces the five-way
+The change prior sits next to it: magnitudes scale with ``snr_base`` so
+detection stays neither trivial nor hopeless across change locations,
+within a band per role (``_MAGNITUDE_BANDS``); test-role datasets widen
+the band.  The multiclass generator produces the five-way
 mixture (no change / mean change / variance change / pure trend / slope
 change); its series length, change margin and parameter ranges are
 fixed tables, and only the signal regime (weak or strong) and the
@@ -52,7 +54,20 @@ __all__ = [
     "gen_piecewise",
 ]
 
-SCENARIOS = ("S1", "S1'", "S2", "S3")
+# Scenario table: the noise law of each scenario, as (rho, innovation,
+# scale).  rho is None for independent noise, a constant, or "uniform"
+# for a fresh Unif[0, 1] coefficient at every step; the innovations are
+# ``rng.standard_<innovation>`` draws times scale.  Draws are named, not
+# bound, so that importing the package does not load ``numpy.random``.
+_NOISE_LAWS = {
+    "S1": (None, "normal", 1.0),
+    "S1'": (0.7, "normal", 1.0),
+    "S2": ("uniform", "normal", math.sqrt(2.0)),
+    "S3": (None, "cauchy", 0.3),
+}
+SCENARIOS = tuple(_NOISE_LAWS)
+# Change prior: multiples of ``snr_base`` bounding |mu_right|, per role.
+_MAGNITUDE_BANDS = {"train": (0.5, 1.5), "test": (0.25, 1.75)}
 
 # Parameter table for the multiclass mixture: value bounds are shared,
 # the |difference| band depends on the signal regime.
@@ -85,13 +100,8 @@ class ScenarioSpec:
             raise ValueError(f"series length must be >= 4, got {self.n}")
         if self.size < 2 or self.size % 2:
             raise ValueError(f"dataset size must be even and >= 2, got {self.size}")
-        if self.role not in ("train", "test"):
+        if self.role not in _MAGNITUDE_BANDS:
             raise ValueError(f"role must be 'train' or 'test', got {self.role!r}")
-
-    @property
-    def magnitude_band(self) -> tuple[float, float]:
-        """Multiples of ``snr_base`` bounding |mu_right| for change examples."""
-        return (0.5, 1.5) if self.role == "train" else (0.25, 1.75)
 
 
 @dataclass(frozen=True)
@@ -182,62 +192,43 @@ def _ar1_in_place(rho: np.ndarray, eps: np.ndarray) -> None:
         eps[..., t] = rho[..., t] * eps[..., t - 1] + eps[..., t]
 
 
-def _scenario_noise(rng: np.random.Generator, n: int, scenario: str):
-    """Draw one path's ``(rho, innovations)``; ``rho`` is None for independent noise.
-
-    Draw order (rho, then innovations) is fixed.
-    """
-    if scenario == "S1":
-        return None, rng.standard_normal(n)
-    if scenario == "S1'":
-        return np.full(n, 0.7), rng.standard_normal(n)
-    if scenario == "S2":
-        rho = rng.uniform(0.0, 1.0, n)
-        return rho, rng.standard_normal(n) * math.sqrt(2.0)
-    if scenario == "S3":
-        return None, rng.standard_cauchy(n) * 0.3
-    raise ValueError(f"unknown scenario {scenario!r}")  # pragma: no cover
-
-
 def _example_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _scenario_draws(spec: ScenarioSpec, seed: int, index: int, with_change: bool):
-    """Draw example ``index``'s metadata and noise ``(rho, innovations)`` from its sub-seed."""
-    rng = _example_rng(seed, index)
-    n = spec.n
-    meta = {"index": index, "scenario": spec.scenario, "role": spec.role, "tau": None, "mu_right": None}
-    if with_change:
-        tau = int(rng.integers(2, n - 1))  # uniform on {2, ..., n-2}
-        lo, hi = spec.magnitude_band
-        b = snr_base(n, tau)
-        magnitude = rng.uniform(lo * b, hi * b)
-        sign = 1.0 if rng.integers(0, 2) else -1.0
-        meta["tau"] = tau
-        meta["mu_right"] = float(sign * magnitude)
-    rho, xi = _scenario_noise(rng, n, spec.scenario)
-    return meta, rho, xi
 
 
 def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.ndarray):
     """Write examples ``indices`` into the rows of ``out`` and return their metadata.
 
-    Each row takes its example's innovations; for S1' and S2 the AR(1)
-    recursion then runs in place over the rows, and every change row
-    adds its step in place.
+    Example ``index`` draws from its own sub-seed, in a fixed order: tau,
+    the magnitude and the sign if it is a change example, then rho (for
+    a "uniform" law), then the innovations.  Each row takes its
+    innovations; the block is then scaled, the AR(1) recursion runs in
+    place over its rows, and every change row adds its step in place.
     """
-    half = spec.size // 2
+    rho, innovation, scale = _NOISE_LAWS[spec.scenario]
+    lo, hi = _MAGNITUDE_BANDS[spec.role]
+    n, half = spec.n, spec.size // 2
+    per_step = rho == "uniform"
+    if per_step:
+        rho = np.empty_like(out)
+    elif rho is not None:
+        rho = np.broadcast_to(rho, out.shape)
     metas = []
-    rho = None
     for row, index in enumerate(indices):
-        meta, path_rho, xi = _scenario_draws(spec, seed, index, with_change=index < half)
-        out[row] = xi
-        if path_rho is not None:
-            if rho is None:
-                rho = np.empty_like(out)
-            rho[row] = path_rho
+        rng = _example_rng(seed, index)
+        meta = {"index": index, "scenario": spec.scenario, "role": spec.role, "tau": None, "mu_right": None}
+        if index < half:
+            tau = int(rng.integers(2, n - 1))  # uniform on {2, ..., n-2}
+            b = snr_base(n, tau)
+            magnitude = rng.uniform(lo * b, hi * b)
+            sign = 1.0 if rng.integers(0, 2) else -1.0
+            meta["tau"] = tau
+            meta["mu_right"] = float(sign * magnitude)
+        if per_step:
+            rho[row] = rng.uniform(0.0, 1.0, n)
+        out[row] = getattr(rng, "standard_" + innovation)(n)
         metas.append(meta)
+    out *= scale
     if rho is not None:
         _ar1_in_place(rho, out)
     for row, meta in zip(out, metas):

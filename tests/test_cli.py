@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,3 +569,20 @@ def test_undeclared_options_are_named_before_missing_ones(tmp_path, capsys, monk
     assert run(["detect", "--threshold", "3", "--out", "d.json"]) == 2
     assert "the following arguments are required: --data" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # Loading numpy.random when the package is imported raised the
+    # heavy-tail benchmark's set-up from 0.19 to 0.25 s; the generators
+    # load it on their first draw.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import cpdlab.cli; "
+            "print(before, 'numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    before, after = result.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy loads numpy.random on its own import")
+    assert after == "False"

@@ -98,6 +98,17 @@ def test_header_mismatch_names_column(tmp_path):
         load_dataset(path)
 
 
+def test_header_error_quotes_only_what_it_checks(tmp_path):
+    # A plain-values file given as a dataset: the error quotes the two
+    # fields the check reads, not the whole first line.
+    path = tmp_path / "values.csv"
+    save_values(np.full((2, 600), 0.123456789), path)
+    with pytest.raises(ValueError, match="header must start with 'label,tau'") as info:
+        load_dataset(path)
+    assert "got '0.123456789,0.123456789'" in str(info.value)
+    assert len(str(info.value)) < 100 + len(str(path))
+
+
 def test_malformed_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,tau,x1,x2\n1,,0.0,1.0\n1,,oops,1.0\n")

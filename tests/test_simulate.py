@@ -60,16 +60,19 @@ class TestScenarios:
         assert np.mean(np.abs(means) <= 4 / math.sqrt(ds.n)) >= 0.99
 
     def test_change_metadata_ranges(self):
-        for role, lo, hi in (("train", 0.5, 1.5), ("test", 0.25, 1.75)):
-            ds = simulate.gen_scenario(ScenarioSpec("S1", size=400, role=role), seed=2)
-            for meta, label in zip(ds.metadata, ds.labels):
-                if label == 0:
-                    assert meta["tau"] is None
-                    continue
-                tau = meta["tau"]
-                assert 2 <= tau <= ds.n - 2
-                b = simulate.snr_base(ds.n, tau)
-                assert lo * b <= abs(meta["mu_right"]) <= hi * b
+        # Every scenario shares one change prior.
+        for scenario in simulate.SCENARIOS:
+            for role, lo, hi in (("train", 0.5, 1.5), ("test", 0.25, 1.75)):
+                spec = ScenarioSpec(scenario, size=400, role=role)
+                ds = simulate.gen_scenario(spec, seed=2)
+                for meta, label in zip(ds.metadata, ds.labels):
+                    if label == 0:
+                        assert meta["tau"] is None
+                        continue
+                    tau = meta["tau"]
+                    assert 2 <= tau <= ds.n - 2
+                    b = simulate.snr_base(ds.n, tau)
+                    assert lo * b <= abs(meta["mu_right"]) <= hi * b
 
     def test_scenario_aliases_and_validation(self):
         # A scenario has one spelling, its entry of SCENARIOS.
@@ -102,7 +105,7 @@ class TestScenarios:
             assert values.tobytes() == row.tobytes()
             assert lab == label and meta2 == meta
 
-    @pytest.mark.parametrize("scenario", ["S1", "S2"])
+    @pytest.mark.parametrize("scenario", simulate.SCENARIOS)
     def test_memory_is_about_one_array(self, scenario):
         tracemalloc.start()
         try:
@@ -110,9 +113,11 @@ class TestScenarios:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured: S1 5.0 MiB and S2 5.4 MiB for 3.8 MiB of values, with
-        # 5000 metadata dicts.  Stacking the noise paths, adding them to a
-        # signal matrix and shuffling a copy took 13.5 and 21.6 MiB.
+        # Measured: S1, S1' and S3 5.0 MiB and S2 5.4 MiB (its block of
+        # per-step rho) for 3.8 MiB of values, with 5000 metadata dicts;
+        # a process's first call takes 0.7 MiB more.  Stacking the noise
+        # paths, adding them to a signal matrix and shuffling a copy took
+        # 13.5 (S1) and 21.6 MiB (S2).
         assert peak < ds.values.nbytes + 2.5 * 2**20
 
 
