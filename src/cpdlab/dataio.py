@@ -81,9 +81,11 @@ def load_dataset(path) -> LabeledDataset:
         if not first.strip():
             raise ValueError(f"{path}: empty dataset file")
         header = first.split(",")
-        if len(header) < 3 or header[0] != "label" or header[1] != "tau":
+        if header[:2] != ["label", "tau"]:
             got = ",".join(header[:2])  # the fields checked; a data line can run to kilobytes
             raise ValueError(f"{path}: header must start with 'label,tau', got {got!r}")
+        if len(header) < 3:
+            raise ValueError(f"{path}: header has no value columns after 'label,tau'")
         n = len(header) - 2
         for j, name in enumerate(header[2:], start=1):
             if name != f"x{j}":

@@ -160,8 +160,10 @@ class Network:
 
     ``weights[l]`` maps layer ``l`` to layer ``l+1``; ``biases[l]`` is
     subtracted before the ReLU of hidden layer ``l+1``.  Binary networks
-    (output width 1) decide ``score > threshold``; multiclass networks
-    return ``classes[argmax score]`` with the smallest index on ties.
+    (output width 1) decide ``score > threshold`` and take no ``classes``;
+    multiclass networks return ``classes[argmax score]`` with the smallest
+    index on ties, where ``classes`` is ``None`` (labels ``0..width-1``)
+    or one distinct integer label per output.
 
     Construction copies the given arrays into ``params``, one C-contiguous
     float64 vector on a 64-byte boundary (weights, then hidden biases,
@@ -180,22 +182,14 @@ class Network:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = self.architecture.layer_dims
-        if len(self.weights) != len(dims) - 1:
-            raise ValueError(f"expected {len(dims) - 1} weight matrices, got {len(self.weights)}")
-        for l, w in enumerate(self.weights):
-            if w.shape != (dims[l + 1], dims[l]):
-                raise ValueError(
-                    f"weight {l} has shape {w.shape}, expected {(dims[l + 1], dims[l])}"
-                )
-        if len(self.biases) != self.architecture.depth:
-            raise ValueError(f"expected {self.architecture.depth} bias vectors")
-        for l, b in enumerate(self.biases):
-            if b.shape != (dims[l + 1],):
-                raise ValueError(f"bias {l} has shape {b.shape}, expected ({dims[l + 1]},)")
-        if self.output_bias.shape != (dims[-1],):
-            raise ValueError(f"output bias has shape {self.output_bias.shape}")
+        depth = self.architecture.depth
+        if (len(self.weights), len(self.biases)) != (depth + 1, depth):
+            raise ValueError(f"expected {depth + 1} weights and {depth} biases, got "
+                             f"{len(self.weights)} weights and {len(self.biases)} biases")
         arrays = (*self.weights, *self.biases, self.output_bias)
+        for a, (name, shape, _) in zip(arrays, _layout(self.architecture)):
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
         self.params = _aligned_empty(sum(a.size for a in arrays))
         np.concatenate([np.ravel(a) for a in arrays], out=self.params)
         if not np.all(np.isfinite(self.params)):
@@ -203,8 +197,14 @@ class Network:
         self.weights, self.biases, self.output_bias = _split(self.architecture, self.params)
         if not math.isfinite(self.threshold):
             raise ValueError(f"decision threshold must be finite, got {self.threshold!r}")
-        if self.classes is not None and not self.is_binary and len(self.classes) != dims[-1]:
-            raise ValueError(f"{len(self.classes)} classes for output width {dims[-1]}")
+        if self.classes is not None:
+            width = self.architecture.output_dim
+            if self.is_binary:
+                raise ValueError("a binary network labels 0 and 1 and takes no classes")
+            if len(self.classes) != width:
+                raise ValueError(f"{len(self.classes)} classes for output width {width}")
+            if len(set(self.classes)) != width:
+                raise ValueError(f"classes must be distinct, got {self.classes}")
 
     @property
     def is_binary(self) -> bool:

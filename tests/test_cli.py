@@ -324,13 +324,18 @@ def _with_first_number(entry):
     ("preprocessor", ["identity"], "'preprocessor' is malformed: expected a JSON list"),
     ("preprocessor", [], "'preprocessor' is malformed: a preprocessor needs"),
     ("preprocessor", [[]], "'preprocessor' is malformed: a preprocessor needs"),
+    ("classes", [1, 1, 2], "classes must be distinct"),
+    ("weights", lambda ws: [ws[0][:-1], *ws[1:]], "weights[0] has shape (197, 100)"),
+    ("biases", lambda bs: [*bs, bs[0]], "got 2 weights and 2 biases"),
+    ("output_bias", [0.0, 0.0], "output_bias has shape (2,), expected (1,)"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
         "no-weights", "null-threshold", "int-classes", "int-preprocessor",
         "no-preprocessor", "null-preprocessor", "null-hidden",
         "string-threshold", "bool-threshold", "bool-output-dim", "bool-hidden", "float-classes",
         "string-classes", "bool-schema-version", "string-output-bias", "bool-output-bias",
         "string-weight", "null-weight", "bool-bias", "string-step", "string-channel",
-        "no-channel", "empty-channel"])
+        "no-channel", "empty-channel", "repeated-classes", "short-weight", "extra-bias",
+        "wide-output-bias"])
 def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])

@@ -109,6 +109,13 @@ def test_header_error_quotes_only_what_it_checks(tmp_path):
     assert len(str(info.value)) < 100 + len(str(path))
 
 
+def test_header_without_value_columns_says_so(tmp_path):
+    path = tmp_path / "bare.csv"
+    path.write_text("label,tau\n")
+    with pytest.raises(ValueError, match="no value columns after 'label,tau'"):
+        load_dataset(path)
+
+
 def test_malformed_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,tau,x1,x2\n1,,0.0,1.0\n1,,oops,1.0\n")

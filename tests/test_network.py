@@ -909,3 +909,11 @@ class TestSerialisation:
         payload["classes"] = [1, 2, 5]
         loaded, _ = network_from_json(json.dumps(payload))
         assert loaded.classes == (1, 2, 5)
+
+    def test_binary_network_takes_no_classes(self):
+        # A binary network labels 0 and 1; classes in its file would be ignored.
+        text = network_to_json(embed_cusum(100, 3.0), Preprocessor((("identity",),)))
+        payload = json.loads(text)
+        payload["classes"] = [7, 9]
+        with pytest.raises(ValueError, match="binary network .* takes no classes"):
+            network_from_json(json.dumps(payload))

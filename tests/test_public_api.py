@@ -1,8 +1,10 @@
-"""The public names: every ``__all__`` entry resolves and every package export imports."""
+"""The public names: every ``__all__`` entry resolves and ``cpdlab`` re-exports it."""
 
-import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,14 +12,8 @@ import pytest
 import cpdlab
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(cpdlab.__path__))
-
-
-def _package_exports():
-    """``(module, name)`` for every name ``cpdlab/__init__.py`` imports from a submodule."""
-    tree = ast.parse(Path(cpdlab.__file__).read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
+# The modules ``cpdlab/__init__.py`` re-exports; the CLI stays out of the package.
+REEXPORTED = [module for module in MODULES if module != "cli"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -28,10 +24,18 @@ def test_all_names_resolve(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_package_exports_import():
-    exports = _package_exports()
-    assert exports
-    for module, name in exports:
-        mod = importlib.import_module(f"cpdlab.{module}")
-        assert name in mod.__all__, f"cpdlab exports {name}, not in cpdlab.{module}.__all__"
-        assert getattr(cpdlab, name) is getattr(mod, name)
+@pytest.mark.parametrize("module", REEXPORTED)
+def test_package_reexports_every_public_name(module):
+    mod, missing = importlib.import_module(f"cpdlab.{module}"), object()
+    assert [name for name in mod.__all__
+            if getattr(cpdlab, name, missing) is not getattr(mod, name)] == []
+
+
+def test_package_import_leaves_the_cli_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, cpdlab; print('cpdlab.cli' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["False"]
