@@ -25,7 +25,7 @@ for scenario, label, train_size in (("S1", "independent Gaussian", 700),
     net = cp.train(pre.apply(train_set.values), train_set.labels,
                    cp.Architecture(100, (198,), 1),
                    cp.TrainConfig(epochs=200, seed=7))
-    _, net_preds = cp.forward(net, pre.apply(test_set.values))
+    _, net_preds = cp.predict(net, pre, test_set.values)
     net_mer = float(np.mean(net_preds != test_set.labels))
 
     print(f"{scenario} ({label}):")

@@ -37,9 +37,9 @@ from .network import (
     Architecture,
     Preprocessor,
     TrainConfig,
-    forward,
     network_from_json,
     network_to_json,
+    predict,
     train,
 )
 from .recipes import RECIPES, run_recipe
@@ -147,7 +147,7 @@ def _net_forward(args, values):
         raise ValueError("--net is required with method 'net'")
     with open(args.net, encoding="ascii") as fh:
         net, pre = network_from_json(fh.read())
-    return forward(net, pre.apply(values))
+    return predict(net, pre, values)
 
 
 def _cmd_detect(args) -> int:

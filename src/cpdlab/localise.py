@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .cusum import _step_contrast, as_series, dyadic_grid
-from .network import forward
+from .network import predict
 
 __all__ = [
     "WindowClassifier",
@@ -56,7 +56,9 @@ def network_window_classifier(net, preprocessor) -> WindowClassifier:
     """Use a trained binary network as the window classifier.
 
     Each window is transformed by ``preprocessor``, the one the network
-    was trained with, and labelled by the network's hard decision.
+    was trained with, and labelled by the network's hard decision.  The
+    windows stay a view of the series: :func:`cpdlab.network.predict`
+    transforms and scores them a block at a time.
     """
     if not net.is_binary:
         raise ValueError("localisation needs a binary window classifier")
@@ -66,7 +68,7 @@ def network_window_classifier(net, preprocessor) -> WindowClassifier:
 
     def label_series(series):
         windows = np.lib.stride_tricks.sliding_window_view(series, length)
-        return forward(net, preprocessor.apply(windows))[1]
+        return predict(net, preprocessor, windows)[1]
 
     return WindowClassifier(length, label_series)
 

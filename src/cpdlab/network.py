@@ -70,6 +70,7 @@ __all__ = [
     "unit_scale",
     "lag_product",
     "forward",
+    "predict",
     "embed_cusum",
     "embed_directions",
     "loss_and_gradient",
@@ -163,7 +164,8 @@ class Network:
     (output width 1) decide ``score > threshold`` and take no ``classes``;
     multiclass networks return ``classes[argmax score]`` with the smallest
     index on ties, where ``classes`` is ``None`` (labels ``0..width-1``)
-    or one distinct integer label per output.
+    or one distinct integer label per output, and take threshold 0, since
+    the argmax has no threshold to use.
 
     Construction copies the given arrays into ``params``, one C-contiguous
     float64 vector on a 64-byte boundary (weights, then hidden biases,
@@ -197,6 +199,9 @@ class Network:
         self.weights, self.biases, self.output_bias = _split(self.architecture, self.params)
         if not math.isfinite(self.threshold):
             raise ValueError(f"decision threshold must be finite, got {self.threshold!r}")
+        if not self.is_binary and self.threshold != 0.0:
+            raise ValueError("a multiclass network decides by argmax and takes threshold 0, "
+                             f"got {self.threshold!r}")
         if self.classes is not None:
             width = self.architecture.output_dim
             if self.is_binary:
@@ -372,7 +377,9 @@ def forward(net: Network, x):
     scalar pre-threshold output and ``label = 1{score > threshold}``;
     for multiclass networks the score is the logit vector and the label
     is the class with the largest logit (smallest index on ties).
-    Non-finite inputs are rejected with ``ValueError``.
+    Non-finite inputs are rejected with ``ValueError``.  Each layer is one
+    product over the whole batch; :func:`predict` scores raw series a
+    block of rows at a time.
     """
     x = _finite_array(x)
     single = x.ndim == 1
@@ -382,11 +389,6 @@ def forward(net: Network, x):
             f"input dimension {X.shape[1]} does not match network "
             f"input {net.architecture.input_dim}"
         )
-    # One product over the whole batch, not row blocks: BLAS splits a
-    # product by its row count, and with OpenBLAS 0.3.31 ``X @ W.T`` at
-    # 5000 x 100 x 198 differed in the last bits for every block size
-    # tried (2 to 4999 rows), which would move predictions.
-    # ``glr.glr_statistic`` is one product for the same reason.
     _, scores = _forward_pass(net, X)
     if net.is_binary:
         scores = scores[:, 0]
@@ -399,6 +401,35 @@ def forward(net: Network, x):
             labels = idx.astype(np.int64)
     if single:
         return (float(scores[0]) if net.is_binary else scores[0]), int(labels[0])
+    return scores, labels
+
+
+def predict(net: Network, pre: Preprocessor, values):
+    """``forward(net, pre.apply(values))`` on a (rows, n) batch, a block of rows at a time.
+
+    Each block holds at most ``SCAN_BLOCK`` entries of its widest layer,
+    features included (:func:`cpdlab.cusum._row_blocks`), and its scores
+    and labels go into arrays allocated once, so no whole feature or
+    hidden-layer matrix is ever held; ``values`` may be a strided view
+    such as the sliding windows of a long series.  Zero rows give empty
+    arrays; non-finite values raise ``ValueError``.
+
+    BLAS splits a product by its row count, so a row's score can differ
+    in its last bits from one ``forward`` over the whole batch (OpenBLAS
+    0.3.31 rounds a 5000-row product differently from its 1000-row
+    blocks).  The batch size of a file already moves those bits, so the
+    blocks only move them among equally valid roundings; a label changes
+    only for a score within that rounding of the threshold, or of a tie.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"predict takes a (rows, n) batch, got shape {values.shape}")
+    rows = values.shape[0]
+    scores = np.empty((rows,) if net.is_binary else (rows, net.architecture.output_dim))
+    labels = np.empty(rows, dtype=np.int64)
+    widest = max(pre.output_dim(values.shape[1]), *net.architecture.layer_dims)
+    for block in _row_blocks(rows, widest):
+        scores[block], labels[block] = forward(net, pre.apply(values[block]))
     return scores, labels
 
 

@@ -49,7 +49,7 @@ from .evaluate import (
     scan_statistics,
     tune_threshold,
 )
-from .network import Architecture, Preprocessor, TrainConfig, embed_cusum, forward, train
+from .network import Architecture, Preprocessor, TrainConfig, embed_cusum, predict, train
 from .simulate import LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
 
 __all__ = ["RECIPES", "run_recipe"]
@@ -77,7 +77,7 @@ def _train_network(train_set, pre: Preprocessor, start, config: TrainConfig,
 
 def _score_network(net, threshold, pre: Preprocessor, test_set, seed: int) -> EvalReport:
     """Score ``net`` on ``pre`` features of ``test_set``; ``threshold`` is the report's."""
-    _, predictions = forward(net, pre.apply(test_set.values))
+    _, predictions = predict(net, pre, test_set.values)
     return mer_from_predictions(test_set.labels, predictions, threshold=threshold,
                                 seed=seed, fingerprint=test_set.fingerprint())
 

@@ -328,6 +328,7 @@ def _with_first_number(entry):
     ("weights", lambda ws: [ws[0][:-1], *ws[1:]], "weights[0] has shape (197, 100)"),
     ("biases", lambda bs: [*bs, bs[0]], "got 2 weights and 2 biases"),
     ("output_bias", [0.0, 0.0], "output_bias has shape (2,), expected (1,)"),
+    ("threshold", 123.0, "a multiclass network decides by argmax and takes threshold 0"),
 ], ids=["nan-threshold", "inf-threshold", "class-count", "top-level-list", "no-architecture",
         "no-weights", "null-threshold", "int-classes", "int-preprocessor",
         "no-preprocessor", "null-preprocessor", "null-hidden",
@@ -335,12 +336,12 @@ def _with_first_number(entry):
         "string-classes", "bool-schema-version", "string-output-bias", "bool-output-bias",
         "string-weight", "null-weight", "bool-bias", "string-step", "string-channel",
         "no-channel", "empty-channel", "repeated-classes", "short-weight", "extra-bias",
-        "wide-output-bias"])
+        "wide-output-bias", "multiclass-threshold"])
 def test_malformed_network_file_exits_two(tmp_path, capsys, field, value, message):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--seed", 5, "--out", data])
     arch_net = embed_cusum(100, 3.0)
-    if field == "classes":
+    if field == "classes" or "multiclass" in message:
         arch_net = _init_network(Architecture(100, (4,), 3), np.random.default_rng(0))
     payload = json.loads(network_to_json(arch_net, Preprocessor((("identity",),))))
     if field is None:

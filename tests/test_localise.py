@@ -194,6 +194,20 @@ class TestNetworkWindowClassifier:
         direct = (cusum.cusum_star_statistic(windows)[0] > lam).astype(np.int64)
         np.testing.assert_array_equal(labels, direct)
 
+    def test_labels_equal_forward_on_materialised_windows(self):
+        from cpdlab.localise import network_window_classifier
+        from cpdlab.network import Preprocessor, embed_cusum, forward
+
+        net, pre = embed_cusum(100, 1.5), Preprocessor()
+        series, _ = gen_piecewise(3000, [700, 1500, 2300], [0.0, 1.5, -0.5, 1.0], seed=9,
+                                  min_spacing=200)
+        windows = np.lib.stride_tricks.sliding_window_view(series, 100)
+        assert len(cusum._row_blocks(len(windows), net.architecture.hidden[0])) >= 3
+        labels = sliding_labels(series, network_window_classifier(net, pre))
+        direct = forward(net, pre.apply(np.ascontiguousarray(windows)))[1]
+        np.testing.assert_array_equal(labels, direct)
+        assert 0 < labels.sum() < labels.size
+
     def test_preprocessed_window_length(self):
         from cpdlab.localise import network_window_classifier
         from cpdlab.network import Architecture, Preprocessor, TrainConfig, train
