@@ -225,7 +225,7 @@ def monte_carlo_bound_check(kind: str, reps: int = 20000, seed: int = 0) -> Boun
 def _null_rate(rng, reps, /, *, n=100, eps=0.05):
     threshold = cusum.null_threshold(n, eps)
     none = np.zeros(0, dtype=np.int64)
-    rate = _scan_error_rate(rng, n, threshold, np.zeros(reps, dtype=bool), none, none, none)
+    rate = _scan_error_rate(rng, n, threshold, np.zeros(reps, dtype=bool), none, none)
     return rate, eps, {"n": n, "eps": eps, "threshold": threshold}
 
 
@@ -233,8 +233,7 @@ def _detection_miss(rng, reps, /, *, n=100, eps=0.05, snr_multiplier=1.05):
     threshold = cusum.null_threshold(n, eps)
     target_snr = snr_multiplier * math.sqrt(8.0 * math.log(n / eps) / n)
     taus, amplitudes = _mean_change_signals(rng, reps, n, target_snr)
-    rate = _scan_error_rate(rng, n, threshold, np.ones(reps, dtype=bool), np.arange(reps),
-                            taus, amplitudes)
+    rate = _scan_error_rate(rng, n, threshold, np.ones(reps, dtype=bool), taus, amplitudes)
     return rate, eps, {"n": n, "eps": eps, "snr_multiplier": snr_multiplier,
                        "threshold": threshold}
 
@@ -243,22 +242,23 @@ def _snr_risk(rng, reps, /, *, n=100, snr_bound=0.8, snr_multiplier=1.05,
               change_fraction=0.5):
     threshold = cusum.snr_threshold(n, snr_bound)
     labels = rng.random(reps) < change_fraction
-    changed = np.flatnonzero(labels)
-    taus, amplitudes = _mean_change_signals(rng, changed.size, n, snr_multiplier * snr_bound)
-    rate = _scan_error_rate(rng, n, threshold, labels, changed, taus, amplitudes)
+    taus, amplitudes = _mean_change_signals(rng, np.count_nonzero(labels), n,
+                                            snr_multiplier * snr_bound)
+    rate = _scan_error_rate(rng, n, threshold, labels, taus, amplitudes)
     used = {"n": n, "snr_bound": snr_bound, "snr_multiplier": snr_multiplier,
             "change_fraction": change_fraction, "threshold": threshold}
     return rate, cusum.misclassification_bound(n, snr_bound), used
 
 
-def _scan_error_rate(rng, n, threshold, labels, changed, taus, amplitudes):
+def _scan_error_rate(rng, n, threshold, labels, taus, amplitudes):
     """Share of rows whose full-scan decision ``statistic > threshold`` is not their label.
 
-    Row ``changed[k]`` (increasing) gets the step ``taus[k], amplitudes[k]``
+    The ``k``-th row labelled a change gets the step ``taus[k], amplitudes[k]``
     on its noise, which is drawn one block of rows at a time;
     ``standard_normal`` fills values in order, so the rate is that of one
     ``(len(labels), n)`` draw.
     """
+    changed = np.flatnonzero(labels)
     errors = 0
     for block in _row_blocks(labels.size, n):
         rows = rng.standard_normal((block.stop - block.start, n))

@@ -75,11 +75,11 @@ def _train_network(train_set, pre: Preprocessor, start, config: TrainConfig,
     return train(feats, train_set.labels, arch, config, init=init), threshold
 
 
-def _score_network(net, threshold, pre: Preprocessor, test_set, seed: int) -> EvalReport:
-    """Score ``net`` on ``pre`` features of ``test_set``; ``threshold`` is the report's."""
+def _score_network(net, pre: Preprocessor, test_set, seed: int) -> EvalReport:
+    """Score ``net`` on ``pre`` features of ``test_set``."""
     _, predictions = predict(net, pre, test_set.values)
-    return mer_from_predictions(test_set.labels, predictions, threshold=threshold,
-                                seed=seed, fingerprint=test_set.fingerprint())
+    return mer_from_predictions(test_set.labels, predictions, seed=seed,
+                                fingerprint=test_set.fingerprint())
 
 
 # Every Figure 1 row's test size, number of runs and training epochs.
@@ -105,7 +105,7 @@ def _scan_versus_network(recipe, scenario, method, pre, start, train_size, thres
         scan = scan_report(method, train_set, test_set, seed=run_seed)
         net, net_threshold = _train_network(train_set, pre, start,
                                             TrainConfig(epochs=_EPOCHS, seed=run_seed))
-        net_mer = _score_network(net, net_threshold, pre, test_set, run_seed).mer
+        net_mer = _score_network(net, pre, test_set, run_seed).mer
         return {"seed": run_seed, **dict(zip(threshold_keys, (scan.threshold, net_threshold))),
                 f"{method}_mer": scan.mer, "network_mer": net_mer}
 
@@ -187,7 +187,7 @@ def table1(seed: int) -> dict:
         test_set.labels,
         glr.adaptive_classify(test_set.values),
         seed=seed, fingerprint=test_set.fingerprint())
-    net_report = _score_network(net, None, pre, test_set, seed)
+    net_report = _score_network(net, pre, test_set, seed)
 
     return {
         "recipe": "table1",

@@ -15,7 +15,9 @@ detection stays neither trivial nor hopeless across change locations,
 within a band per role (``_MAGNITUDE_BANDS``); test-role datasets widen
 the band.  The multiclass generator produces the five-way
 mixture (no change / mean change / variance change / pure trend / slope
-change); its series length, change margin and parameter ranges are
+change).  Each class is one row of the class table ``_CLASSES``: the
+parameter it sets (mean, noise sd or slope) and whether that parameter
+changes.  Its series length, change margin and parameter ranges are
 fixed tables, and only the signal regime (weak or strong) and the
 number of examples per class are chosen by the caller.
 
@@ -69,14 +71,15 @@ SCENARIOS = tuple(_NOISE_LAWS)
 # Change prior: multiples of ``snr_base`` bounding |mu_right|, per role.
 _MAGNITUDE_BANDS = {"train": (0.5, 1.5), "test": (0.25, 1.75)}
 
-# Parameter table for the multiclass mixture: value bounds are shared,
-# the |difference| band depends on the signal regime.
-_MEAN_BOUNDS = (-5.0, 5.0)
-_SD_BOUNDS = (0.3, 0.7)
-_SLOPE_BOUNDS = (-0.025, 0.025)
+# Class table for the multiclass mixture: label -> (parameter, changes).
+# A parameter's value bounds are shared by its classes; the |difference|
+# band of a change depends on the signal regime.
+_CLASSES = {1: ("mu", False), 2: ("mu", True), 3: ("sd", True), 4: ("slope", False),
+            5: ("slope", True)}
+_BOUNDS = {"mu": (-5.0, 5.0), "sd": (0.3, 0.7), "slope": (-0.025, 0.025)}
 _DIFF_BANDS = {
-    "weak": {"mean": (0.25, 0.5), "sd": (0.12, 0.24), "slope": (0.006, 0.012)},
-    "strong": {"mean": (0.6, 1.2), "sd": (0.2, 0.4), "slope": (0.015, 0.03)},
+    "weak": {"mu": (0.25, 0.5), "sd": (0.12, 0.24), "slope": (0.006, 0.012)},
+    "strong": {"mu": (0.6, 1.2), "sd": (0.2, 0.4), "slope": (0.015, 0.03)},
 }
 MEAN_NOISE_SD = 0.7  # noise variance 0.49 for mean-change data
 SLOPE_NOISE_SD = 0.5  # noise variance 0.25 for slope-change data
@@ -106,7 +109,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class MulticlassSpec:
-    """Recipe for the five-class change-type mixture.
+    """Recipe for the five-class change-type mixture of the class table ``_CLASSES``.
 
     Only ``regime`` ('weak' or 'strong') and ``per_class`` are chosen;
     the series length ``n``, the change margin and the parameter ranges
@@ -278,49 +281,36 @@ def _draw_in_band(rng, bounds, diff_band):
     )
 
 
-def _kinked_line(n: int, tau: int, slope_left: float, slope_right: float):
-    """Continuous piecewise-linear mean through 0: slope changes at tau, no jump."""
-    t = np.arange(1, n + 1, dtype=np.float64)
-    left = slope_left * t
-    right = (slope_left - slope_right) * tau + slope_right * t
-    return np.where(t <= tau, left, right)
-
-
 def _multiclass_example(spec: MulticlassSpec, seed: int, index: int, t: np.ndarray,
                         out: np.ndarray) -> dict:
     """Write example ``index`` of the mixture into the row ``out`` and return its metadata.
 
     Examples are numbered class by class, so the label is
-    ``index // per_class + 1``.
+    ``index // per_class + 1``.  The class's parameter takes the value
+    ``a`` on ``t <= tau`` and ``b`` after it: a changing class draws tau
+    and then an in-band pair, a constant class one value with tau = n.
+    A slope is a line through 0 that bends at tau without a jump.
     """
     n, margin = spec.n, spec.margin
-    bands = _DIFF_BANDS[spec.regime]
     label = index // spec.per_class + 1
+    param, changes = _CLASSES[label]
     rng = _example_rng(seed, index)
     meta = {"index": index, "label": label, "tau": None}
-    if label in (2, 3, 5):
-        tau = int(rng.integers(margin + 1, n - margin + 1))
-        meta["tau"] = tau
-    if label == 1:
-        mu = float(rng.uniform(*_MEAN_BOUNDS))
-        out[:] = mu + MEAN_NOISE_SD * rng.standard_normal(n)
-        meta.update(mu=mu)
-    elif label == 2:
-        mu1, mu2 = _draw_in_band(rng, _MEAN_BOUNDS, bands["mean"])
-        out[:] = np.where(t <= tau, mu1, mu2) + MEAN_NOISE_SD * rng.standard_normal(n)
-        meta.update(mu_left=mu1, mu_right=mu2)
-    elif label == 3:
-        sd1, sd2 = _draw_in_band(rng, _SD_BOUNDS, bands["sd"])
-        out[:] = np.where(t <= tau, sd1, sd2) * rng.standard_normal(n)
-        meta.update(sd_left=sd1, sd_right=sd2)
-    elif label == 4:
-        slope = float(rng.uniform(*_SLOPE_BOUNDS))
-        out[:] = slope * t + SLOPE_NOISE_SD * rng.standard_normal(n)
-        meta.update(slope=slope)
+    if changes:
+        tau = meta["tau"] = int(rng.integers(margin + 1, n - margin + 1))
+        a, b = _draw_in_band(rng, _BOUNDS[param], _DIFF_BANDS[spec.regime][param])
+        meta.update({f"{param}_left": a, f"{param}_right": b})
     else:
-        s1, s2 = _draw_in_band(rng, _SLOPE_BOUNDS, bands["slope"])
-        out[:] = _kinked_line(n, tau, s1, s2) + SLOPE_NOISE_SD * rng.standard_normal(n)
-        meta.update(slope_left=s1, slope_right=s2)
+        tau = n
+        a = b = meta[param] = float(rng.uniform(*_BOUNDS[param]))
+    noise = rng.standard_normal(n)
+    left = t <= tau
+    if param == "mu":
+        out[:] = np.where(left, a, b) + MEAN_NOISE_SD * noise
+    elif param == "sd":
+        out[:] = np.where(left, a, b) * noise
+    else:
+        out[:] = np.where(left, a * t, (a - b) * tau + b * t) + SLOPE_NOISE_SD * noise
     return meta
 
 
@@ -352,11 +342,20 @@ def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0
     ``min_spacing`` is given, every segment, including the two boundary
     segments, must span at least that many points; the downstream
     sliding-window localiser needs spacing >= twice its window length.
+    ``taus`` must be integers, ``means`` finite and ``noise_sd`` finite
+    and >= 0.
 
     Returns ``(series, metadata)``.
     """
+    taus = list(taus)
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in taus):
+        raise ValueError(f"taus must be integers, got {taus}")
     taus = [int(t) for t in taus]
     means = [float(m) for m in means]
+    if not all(map(math.isfinite, means)):
+        raise ValueError(f"means must be finite, got {means}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if len(means) != len(taus) + 1:
         raise ValueError(f"need len(means) == len(taus) + 1, got {len(means)} and {len(taus)}")
     if any(b <= a for a, b in zip(taus, taus[1:])):

@@ -263,10 +263,10 @@ class TestPredict:
 
         test_set = gen_scenario(ScenarioSpec("S1", size=5000, role="test"), seed=8)
         net = _init_network(Architecture(100, (198,), 1), np.random.default_rng(3))
-        _score_network(net, None, Preprocessor(), test_set, seed=1)
+        _score_network(net, Preprocessor(), test_set, seed=1)
         tracemalloc.start()
         try:
-            _score_network(net, None, Preprocessor(), test_set, seed=1)
+            _score_network(net, Preprocessor(), test_set, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

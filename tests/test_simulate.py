@@ -1,6 +1,7 @@
 """Tests for the synthetic benchmark generators."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -163,10 +164,48 @@ SCENARIO_FINGERPRINTS = {
 }
 
 
+# SHA-256 of the same datasets' metadata, each row's items sorted by key:
+# the fingerprint covers only values and labels, not the recorded draws.
+MULTICLASS_METADATA_DIGESTS = {
+    ("weak", 0): "1d18145c8c31fa8e250288293015be4caa6fe2697a3d5ecee92bab887567dc83",
+    ("weak", 1): "89965156c2e8767d05ab45fb2f09ba410d21c1328a6ba191b097264a47ea380d",
+    ("strong", 0): "7cc02ccfb932a3a0651c001963b8e255ee78ce41c6c9bce4c5ad23727b774ea1",
+    ("strong", 1): "f7cac9eae75f54c13a9e0d8f9484d199a360be5c0bff7c6d329234b0a5bc654d",
+}
+# SHA-256 of gen_piecewise's series bytes, then its metadata items sorted
+# by key, as (length, taus, means, noise_sd, seed).
+PIECEWISE_CASES = {
+    "no change": ((200, [], [1.5], 1.0, 0),
+                  "b34e4f6a2dc2774b78a7c7c24d1a1c885cdd06dd6085768002eb620b27868dd2"),
+    "one change": ((2000, [900], [0.0, 9.0], 1.0, 1),
+                   "2fafdd9f60e4e5508073588afbdcbc1a0e9991327bbdf636f247d5d43c7cf3e9"),
+    "three changes": ((3500, [990, 1691, 2733], [0.0, 11.0, -1.0, 12.0], 1.0, 3),
+                      "31ee8487719bce33984d1dd455919d5cd51ac31109d5aeb243600b7715c279b2"),
+    "small noise": ((300, [100, 200], [0.0, 1.5, -0.5], 0.25, 9),
+                    "eec3bdba99fbe75ae30c23282bff5e1314a2c49a290feb95af68874dd97a610b"),
+}
+
+
 @pytest.mark.parametrize("regime, seed", sorted(MULTICLASS_FINGERPRINTS))
 def test_multiclass_fingerprint_is_pinned(regime, seed):
     ds = simulate.gen_multiclass(MulticlassSpec(regime, per_class=3), seed)
     assert ds.fingerprint() == MULTICLASS_FINGERPRINTS[regime, seed]
+
+
+@pytest.mark.parametrize("regime, seed", sorted(MULTICLASS_METADATA_DIGESTS))
+def test_multiclass_metadata_is_pinned(regime, seed):
+    ds = simulate.gen_multiclass(MulticlassSpec(regime, per_class=3), seed)
+    items = repr([sorted(meta.items()) for meta in ds.metadata]).encode()
+    assert hashlib.sha256(items).hexdigest() == MULTICLASS_METADATA_DIGESTS[regime, seed]
+
+
+@pytest.mark.parametrize("case", sorted(PIECEWISE_CASES))
+def test_piecewise_fingerprint_is_pinned(case):
+    (length, taus, means, noise_sd, seed), expected = PIECEWISE_CASES[case]
+    series, meta = simulate.gen_piecewise(length, taus, means, noise_sd=noise_sd, seed=seed)
+    digest = hashlib.sha256(series.tobytes())
+    digest.update(repr(sorted(meta.items())).encode())
+    assert digest.hexdigest() == expected
 
 
 @pytest.mark.parametrize("scenario, role", sorted(SCENARIO_FINGERPRINTS))
@@ -232,13 +271,15 @@ class TestMulticlass:
                 lo, hi = CHANGE_BANDS[regime][label]
                 assert lo <= abs(left - right) <= hi, (regime, meta)
 
-    def test_kinked_mean_is_continuous(self):
+    def test_kinked_mean_is_continuous(self, monkeypatch):
+        # Without slope noise a class-5 row is its mean line.
+        monkeypatch.setattr(simulate, "SLOPE_NOISE_SD", 0.0)
         ds = simulate.gen_multiclass(MulticlassSpec("strong", per_class=5), seed=4)
-        kinks = [meta for meta in ds.metadata if meta["label"] == 5]
+        kinks = [(x, meta) for x, meta in zip(ds.values, ds.metadata) if meta["label"] == 5]
         assert len(kinks) == 5
-        for meta in kinks:
+        for x, meta in kinks:
             tau, s1, s2 = meta["tau"], meta["slope_left"], meta["slope_right"]
-            steps = np.diff(simulate._kinked_line(ds.n, tau, s1, s2))
+            steps = np.diff(x)
             # Increment t -> t+1 is the left slope up to t = tau - 1 and the
             # right slope from t = tau on: the slope switches, the mean does not jump.
             np.testing.assert_allclose(steps[:tau - 1], s1, rtol=0, atol=1e-12)
@@ -318,3 +359,36 @@ class TestPiecewise:
     def test_mismatched_means(self):
         with pytest.raises(ValueError, match="len"):
             simulate.gen_piecewise(100, [50], [0.0])
+
+    @pytest.mark.parametrize("taus, means, noise_sd, argument", [
+        ([50.7], [0.0, 1.0], 1.0, "taus"),
+        ([True], [0.0, 1.0], 1.0, "taus"),
+        ([50], [0.0, math.nan], 1.0, "means"),
+        ([50], [math.inf, 1.0], 1.0, "means"),
+        ([50], [0.0, 1.0], -2.0, "noise_sd"),
+        ([50], [0.0, 1.0], math.inf, "noise_sd"),
+        ([50], [0.0, 1.0], math.nan, "noise_sd"),
+    ], ids=["fractional-tau", "bool-tau", "nan-mean", "inf-mean", "negative-noise",
+            "inf-noise", "nan-noise"])
+    def test_invalid_argument_is_named(self, taus, means, noise_sd, argument):
+        with pytest.raises(ValueError, match=argument):
+            simulate.gen_piecewise(100, taus, means, noise_sd=noise_sd)
+
+    def test_numpy_integer_taus_and_zero_noise_are_accepted(self):
+        x, meta = simulate.gen_piecewise(np.int64(10), np.array([4]), np.array([0.0, 2.0]),
+                                         noise_sd=0.0)
+        assert meta["taus"] == [4] and type(meta["taus"][0]) is int
+        np.testing.assert_array_equal(x, np.repeat([0.0, 2.0], [4, 6]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=6).flatmap(
+        lambda widths: st.tuples(
+            st.just(widths),
+            st.lists(st.floats(-1e6, 1e6), min_size=len(widths), max_size=len(widths)))))
+    def test_noise_free_segments_hold_their_level(self, case):
+        # Segment r covers positions taus[r-1]+1 .. taus[r] (1-based).
+        widths, means = case
+        edges = np.cumsum([0, *widths]).tolist()
+        x, _ = simulate.gen_piecewise(edges[-1], edges[1:-1], means, noise_sd=0.0)
+        for r, level in enumerate(means):
+            np.testing.assert_array_equal(x[edges[r]:edges[r + 1]], level)
