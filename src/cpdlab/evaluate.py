@@ -1,8 +1,10 @@
 """Scan scoring, threshold tuning and Monte-Carlo bound checks.
 
 :func:`scan_statistics` maps a scan method name to its batch kernel, and
-:func:`scan_report` is the one tune-and-score path of every scan: tune
-on training draws unless a threshold is given, then score the test draws.
+:func:`scan_report` tunes a scan on training draws unless a threshold is
+given, then scores the test draws, for the ``evaluate`` command.  The
+Figure 1 recipes tune with :func:`tune_threshold` and score their test
+draws a streamed block of rows at a time (:mod:`cpdlab.recipes`).
 Every report carries the seed and a dataset fingerprint so that any
 number appearing anywhere downstream can be regenerated bit-exactly.
 Monte-Carlo checks compare an empirical rate against a closed-form

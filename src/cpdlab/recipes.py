@@ -21,12 +21,15 @@ recipe takes a size or setting.  The registry keys double as the
 
 fig1a, fig1d and figb1 are rows of one run loop; each row fixes its
 scenario, scan, network input and start, and training size (700 or
-1000).  Run ``k`` of 3 draws its training set from seed ``seed + 1000 k``
-and its 5000-row test set from that seed plus 1, scores the scan with
-:func:`cpdlab.evaluate.scan_report`, then trains the network (200 epochs)
-with the one train helper and scores it with the one score helper, which
-table1 uses too.  table1 trains before it draws its test mixture, so only
-one mixture is in memory at a time.  The four Monte-Carlo recipes are one
+1000).  Run ``k`` of 3 draws its training set from seed ``seed + 1000 k``,
+tunes the scan's threshold on it, trains the network (200 epochs) with
+the one train helper, which table1 uses too, and frees the training set.
+Only then does it draw its 5000-row test set, from that seed plus 1, a
+block of rows at a time (:func:`cpdlab.simulate.scenario_blocks`), and
+label each block with the scan and the network before drawing the next,
+so no whole test set is held.  table1 also trains before it draws its
+test mixture, and scores it with the one score helper, so only one
+mixture is in memory at a time.  The four Monte-Carlo recipes are one
 function with their own check and reps.
 """
 
@@ -45,12 +48,12 @@ from .evaluate import (
     batch_cusum_statistics,
     mer_from_predictions,
     monte_carlo_bound_check,
-    scan_report,
     scan_statistics,
     tune_threshold,
 )
 from .network import Architecture, Preprocessor, TrainConfig, embed_cusum, predict, train
-from .simulate import LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario
+from .simulate import (LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario,
+                       scenario_blocks)
 
 __all__ = ["RECIPES", "run_recipe"]
 
@@ -90,6 +93,9 @@ def _scan_versus_network(recipe, scenario, method, pre, start, train_size, thres
                          settings, summary, seed):
     """The tuned ``method`` scan versus a trained network over the runs of ``scenario``.
 
+    A run tunes the scan's threshold on its training set and trains the
+    network on it, then frees it before it draws its test set, which it
+    labels with both a row block at a time as the blocks are drawn.
     Each run's threshold keys name the scan's threshold, then the
     embedded start's; with one key the start's is left out.
     ``settings`` are extra report fields.  ``summary`` is
@@ -97,17 +103,25 @@ def _scan_versus_network(recipe, scenario, method, pre, start, train_size, thres
     over runs of the run's ``minuend`` minus its ``subtrahend``.
     """
     def run(k):
-        # The datasets live in this call only, so one run's draws are
-        # freed before the next run draws its own.
         run_seed = seed + 1000 * k
         train_set = gen_scenario(ScenarioSpec(scenario, size=train_size, role="train"), run_seed)
-        test_set = gen_scenario(ScenarioSpec(scenario, size=_TEST_SIZE, role="test"), run_seed + 1)
-        scan = scan_report(method, train_set, test_set, seed=run_seed)
+        threshold = tune_threshold(scan_statistics(method, train_set.values), train_set.labels)
         net, net_threshold = _train_network(train_set, pre, start,
                                             TrainConfig(epochs=_EPOCHS, seed=run_seed))
-        net_mer = _score_network(net, pre, test_set, run_seed).mer
-        return {"seed": run_seed, **dict(zip(threshold_keys, (scan.threshold, net_threshold))),
-                f"{method}_mer": scan.mer, "network_mer": net_mer}
+        del train_set
+        # The test set is scored a block at a time as it is drawn.  Its
+        # blocks are the ones ``predict`` splits a whole batch into, so
+        # every network score is bit for bit that of the whole batch.
+        test = ScenarioSpec(scenario, size=_TEST_SIZE, role="test")
+        labels, scan_labels, net_labels = np.empty((3, _TEST_SIZE), dtype=np.int64)
+        width = max(pre.output_dim(test.n), *net.architecture.layer_dims)
+        for block, block_labels, rows in scenario_blocks(test, run_seed + 1, width):
+            labels[block] = block_labels
+            scan_labels[block] = scan_statistics(method, rows) > threshold
+            net_labels[block] = predict(net, pre, rows)[1]
+        return {"seed": run_seed, **dict(zip(threshold_keys, (threshold, net_threshold))),
+                f"{method}_mer": mer_from_predictions(labels, scan_labels).mer,
+                "network_mer": mer_from_predictions(labels, net_labels).mer}
 
     runs = [run(k) for k in range(_RUNS)]
     key, minuend, subtrahend = summary

@@ -29,7 +29,10 @@ uses one extra sub-seed, ``(seed, N)``.  That shuffle order is drawn
 first, and each example is written straight into its shuffled row of
 one preallocated ``(N, n)`` array, so a dataset is held once: the AR(1)
 recursion of S1' and S2 runs in place on its rows, a block of rows at a
-time, and each change row then adds its step in place.
+time, and each change row then adds its step in place.  The block
+stream :func:`scenario_blocks` gives the same rows and labels one block
+at a time in one reused buffer, without metadata, so a consumer that
+scores each block as it comes never holds the whole dataset.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "snr_base",
     "ar1_noise",
     "gen_scenario",
+    "scenario_blocks",
     "regenerate_example",
     "gen_multiclass",
     "gen_piecewise",
@@ -240,6 +244,12 @@ def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.nd
     return metas
 
 
+def _shuffle_order(spec: ScenarioSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, labels)``: row ``i`` holds example ``order[i]``, labelled 1 for a change."""
+    order = _example_rng(seed, spec.size).permutation(spec.size)
+    return order, (order < spec.size // 2).astype(np.int64)
+
+
 def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     """Generate a shuffled scenario dataset, half change and half no-change.
 
@@ -249,13 +259,32 @@ def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     Row ``i`` holds example ``order[i]`` of the shuffle order, which is
     drawn first; the rows are filled a block at a time.
     """
-    order = _example_rng(seed, spec.size).permutation(spec.size)
+    order, labels = _shuffle_order(spec, seed)
     values = np.empty((spec.size, spec.n))
     metas = []
     for block in _row_blocks(spec.size, spec.n):
         # Python ints index rows faster than numpy integers.
         metas += _scenario_rows(spec, seed, order[block].tolist(), values[block])
-    return LabeledDataset(values, (order < spec.size // 2).astype(np.int64), metas)
+    return LabeledDataset(values, labels, metas)
+
+
+def scenario_blocks(spec: ScenarioSpec, seed: int, width: int):
+    """Yield ``(block, labels, rows)`` of ``gen_scenario(spec, seed)``, one row block at a time.
+
+    The blocks are ``cpdlab.cusum._row_blocks(spec.size, width)``, and
+    each block's ``labels`` and ``rows`` equal that slice of the
+    dataset's labels and values bit for bit.  ``rows`` is a view of one
+    buffer that the next block overwrites, so a consumer must use it
+    before asking for the next block; the whole dataset and its
+    metadata are never held.
+    """
+    order, labels = _shuffle_order(spec, seed)
+    blocks = _row_blocks(spec.size, width)
+    buffer = np.empty((blocks[0].stop, spec.n))  # the first block is the longest
+    for block in blocks:
+        rows = buffer[:block.stop - block.start]
+        _scenario_rows(spec, seed, order[block].tolist(), rows)
+        yield block, labels[block], rows
 
 
 def regenerate_example(spec: ScenarioSpec, seed: int, index: int):
@@ -333,6 +362,10 @@ def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
     return LabeledDataset(values, order // spec.per_class + 1, metas)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0,
                   min_spacing: int | None = None):
     """Piecewise-constant mean plus i.i.d. Gaussian noise.
@@ -342,13 +375,15 @@ def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0
     ``min_spacing`` is given, every segment, including the two boundary
     segments, must span at least that many points; the downstream
     sliding-window localiser needs spacing >= twice its window length.
-    ``taus`` must be integers, ``means`` finite and ``noise_sd`` finite
-    and >= 0.
+    ``length`` must be an integer >= 1, ``taus`` integers, ``means``
+    finite and ``noise_sd`` finite and >= 0.
 
     Returns ``(series, metadata)``.
     """
+    if not (_is_integer(length) and length >= 1):
+        raise ValueError(f"length must be an integer >= 1, got {length!r}")
     taus = list(taus)
-    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in taus):
+    if not all(map(_is_integer, taus)):
         raise ValueError(f"taus must be integers, got {taus}")
     taus = [int(t) for t in taus]
     means = [float(m) for m in means]

@@ -8,13 +8,14 @@ also run at reduced ``reps``.
 
 import math
 import statistics
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cpdlab import cusum, recipes
+from cpdlab import cusum, recipes, simulate
 from cpdlab.evaluate import tune_threshold
 from cpdlab.network import Preprocessor, _init_network
 from cpdlab.recipes import RECIPES, _grid_check_length, run_recipe
@@ -104,13 +105,14 @@ def test_figure1_summary_is_the_median_run_difference(recipe_report, name, key, 
     assert report[key].hex() == expected.hex()
 
 
-def test_table1_trains_before_it_draws_its_test_mixture(monkeypatch):
-    # An untrained network of the same architecture stands in for training,
-    # so the recipe runs in about a second; only the order is under test.
-    def untrained(X, y, arch, config, init=None):
-        net = _init_network(arch, np.random.default_rng(config.seed))
-        return replace(net, classes=tuple(np.unique(y).tolist()))
+def _untrained(X, y, arch, config, init=None):
+    """An untrained network of ``arch``: it stands in for training, so a
+    recipe runs in about a second when only its order or memory is under test."""
+    net = _init_network(arch, np.random.default_rng(config.seed))
+    return net if arch.output_dim == 1 else replace(net, classes=tuple(np.unique(y).tolist()))
 
+
+def test_table1_trains_before_it_draws_its_test_mixture(monkeypatch):
     drawn, alive_at_draw = [], []
 
     def draw(spec, seed):
@@ -119,12 +121,44 @@ def test_table1_trains_before_it_draws_its_test_mixture(monkeypatch):
         drawn.append((seed, (weakref.ref(dataset), weakref.ref(dataset.values))))
         return dataset
 
-    monkeypatch.setattr(recipes, "train", untrained)
+    monkeypatch.setattr(recipes, "train", _untrained)
     monkeypatch.setattr(recipes, "gen_multiclass", draw)
     report = run_recipe("table1", 7)
     assert [seed for seed, _ in drawn] == [7, 8]
     assert alive_at_draw == [[], []]
     assert report["network"]["size"] == 5 * report["per_class_test"]
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1d", "figb1"])
+def test_figure1_trains_before_it_streams_its_test_set(monkeypatch, name):
+    train_refs, alive_at_test_rows = [], []
+    scenario_rows = simulate._scenario_rows
+
+    def draw(spec, seed):
+        dataset = gen_scenario(spec, seed)
+        if spec.role == "train":
+            train_refs.extend((weakref.ref(dataset), weakref.ref(dataset.values)))
+        return dataset
+
+    def rows(spec, seed, indices, out):
+        if spec.role == "test":
+            alive_at_test_rows.append(any(ref() is not None for ref in train_refs))
+        return scenario_rows(spec, seed, indices, out)
+
+    monkeypatch.setattr(recipes, "train", _untrained)
+    monkeypatch.setattr(recipes, "gen_scenario", draw)
+    monkeypatch.setattr(simulate, "_scenario_rows", rows)
+    tracemalloc.start()
+    try:
+        report = run_recipe(name, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(train_refs) == 6 and alive_at_test_rows and not any(alive_at_test_rows)
+    assert report["test_size"] == 5000
+    # Measured: fig1a 2.3, fig1d 2.9 and figb1 3.4 MiB.  Drawing the
+    # whole test set before training took 7.3, 7.9 and 8.4 MiB.
+    assert peak < 6 * 2**20
 
 
 def test_localisation_recipe_small():

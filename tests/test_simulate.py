@@ -1,6 +1,7 @@
 """Tests for the synthetic benchmark generators."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdlab import simulate
+from cpdlab.cusum import _row_blocks
 from cpdlab.simulate import MulticlassSpec, ScenarioSpec
 
 
@@ -40,6 +42,11 @@ class TestSnrBase:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             simulate.snr_base(100, 0)
+
+
+@functools.cache
+def _scenario_dataset(spec):
+    return simulate.gen_scenario(spec, seed=5)
 
 
 class TestScenarios:
@@ -105,6 +112,22 @@ class TestScenarios:
             values, lab, meta2 = simulate.regenerate_example(spec, 3, meta["index"])
             assert values.tobytes() == row.tobytes()
             assert lab == label and meta2 == meta
+
+    @pytest.mark.parametrize("role", ["train", "test"])
+    @pytest.mark.parametrize("scenario", simulate.SCENARIOS)
+    @settings(max_examples=5, deadline=None)
+    @given(width=st.integers(336, 4096))
+    def test_blocks_concatenate_to_the_dataset(self, scenario, role, width):
+        # 586 = 2 x 293 rows in blocks of 16 to 195 rows: at least three
+        # blocks, and the last one short.
+        spec = ScenarioSpec(scenario, size=586, role=role)
+        blocks, labels, values = zip(*((block, labels, rows.copy()) for block, labels, rows
+                                       in simulate.scenario_blocks(spec, 5, width)))
+        assert list(blocks) == _row_blocks(spec.size, width)
+        assert len(blocks) >= 3 and len(values[-1]) < len(values[0])
+        ds = _scenario_dataset(spec)
+        assert np.concatenate(labels).tobytes() == ds.labels.tobytes()
+        assert np.concatenate(values).tobytes() == ds.values.tobytes()
 
     @pytest.mark.parametrize("scenario", simulate.SCENARIOS)
     def test_memory_is_about_one_array(self, scenario):
@@ -360,25 +383,31 @@ class TestPiecewise:
         with pytest.raises(ValueError, match="len"):
             simulate.gen_piecewise(100, [50], [0.0])
 
-    @pytest.mark.parametrize("taus, means, noise_sd, argument", [
-        ([50.7], [0.0, 1.0], 1.0, "taus"),
-        ([True], [0.0, 1.0], 1.0, "taus"),
-        ([50], [0.0, math.nan], 1.0, "means"),
-        ([50], [math.inf, 1.0], 1.0, "means"),
-        ([50], [0.0, 1.0], -2.0, "noise_sd"),
-        ([50], [0.0, 1.0], math.inf, "noise_sd"),
-        ([50], [0.0, 1.0], math.nan, "noise_sd"),
+    @pytest.mark.parametrize("length, taus, means, noise_sd, argument", [
+        (100, [50.7], [0.0, 1.0], 1.0, "taus"),
+        (100, [True], [0.0, 1.0], 1.0, "taus"),
+        (100, [50], [0.0, math.nan], 1.0, "means"),
+        (100, [50], [math.inf, 1.0], 1.0, "means"),
+        (100, [50], [0.0, 1.0], -2.0, "noise_sd"),
+        (100, [50], [0.0, 1.0], math.inf, "noise_sd"),
+        (100, [50], [0.0, 1.0], math.nan, "noise_sd"),
+        (True, [], [0.0], 1.0, "length"),
+        (100.7, [], [0.0], 1.0, "length"),
+        (0, [], [0.0], 1.0, "length"),
+        (-3, [], [0.0], 1.0, "length"),
     ], ids=["fractional-tau", "bool-tau", "nan-mean", "inf-mean", "negative-noise",
-            "inf-noise", "nan-noise"])
-    def test_invalid_argument_is_named(self, taus, means, noise_sd, argument):
+            "inf-noise", "nan-noise", "bool-length", "fractional-length", "zero-length",
+            "negative-length"])
+    def test_invalid_argument_is_named(self, length, taus, means, noise_sd, argument):
         with pytest.raises(ValueError, match=argument):
-            simulate.gen_piecewise(100, taus, means, noise_sd=noise_sd)
+            simulate.gen_piecewise(length, taus, means, noise_sd=noise_sd)
 
     def test_numpy_integer_taus_and_zero_noise_are_accepted(self):
         x, meta = simulate.gen_piecewise(np.int64(10), np.array([4]), np.array([0.0, 2.0]),
                                          noise_sd=0.0)
         assert meta["taus"] == [4] and type(meta["taus"][0]) is int
         np.testing.assert_array_equal(x, np.repeat([0.0, 2.0], [4, 6]))
+        np.testing.assert_array_equal(simulate.gen_piecewise(1, [], [2.0], noise_sd=0.0)[0], [2.0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(1, 20), min_size=1, max_size=6).flatmap(
