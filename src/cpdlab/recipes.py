@@ -27,10 +27,13 @@ the one train helper, which table1 uses too, and frees the training set.
 Only then does it draw its 5000-row test set, from that seed plus 1, a
 block of rows at a time (:func:`cpdlab.simulate.scenario_blocks`), and
 label each block with the scan and the network before drawing the next,
-so no whole test set is held.  table1 also trains before it draws its
-test mixture, and scores it with the one score helper, so only one
-mixture is in memory at a time.  The four Monte-Carlo recipes are one
-function with their own check and reps.
+so no whole test set is held.  table1 streams its training mixture a
+block of rows at a time (:func:`cpdlab.simulate.multiclass_blocks`)
+into its feature matrix and its oracle scan statistics, so the raw
+mixture is never held; it tunes and trains on those, frees them, and
+only then draws its test mixture, which it scores with the one score
+helper.  The four Monte-Carlo recipes are one function with their own
+check and reps.
 """
 
 from __future__ import annotations
@@ -53,29 +56,28 @@ from .evaluate import (
 )
 from .network import Architecture, Preprocessor, TrainConfig, embed_cusum, predict, train
 from .simulate import (LabeledDataset, MulticlassSpec, ScenarioSpec, gen_multiclass, gen_scenario,
-                       scenario_blocks)
+                       multiclass_blocks, scenario_blocks)
 
 __all__ = ["RECIPES", "run_recipe"]
 
 
-def _train_network(train_set, pre: Preprocessor, start, config: TrainConfig,
+def _train_network(feats: np.ndarray, labels: np.ndarray, start, config: TrainConfig,
                    output_dim: int = 1):
-    """``(net, threshold)``: a network trained on ``pre`` features of ``train_set``.
+    """``(net, threshold)``: a network trained on the feature rows ``feats``.
 
     ``start`` is a tuple of hidden widths for a random start, or
-    ``"cusum"`` for the CUSUM scan embedded at the threshold tuned on the
-    training features.  ``threshold`` is that tuned threshold, or
-    ``None`` for a random start.  The features are freed on return.
+    ``"cusum"`` for the CUSUM scan embedded at the threshold tuned on
+    ``feats``.  ``threshold`` is that tuned threshold, or ``None`` for a
+    random start.
     """
-    feats = pre.apply(train_set.values)
     if start == "cusum":
-        threshold = tune_threshold(batch_cusum_statistics(feats), train_set.labels)
+        threshold = tune_threshold(batch_cusum_statistics(feats), labels)
         init = embed_cusum(feats.shape[1], threshold)
         arch = init.architecture
     else:
         threshold = init = None
         arch = Architecture(feats.shape[1], start, output_dim)
-    return train(feats, train_set.labels, arch, config, init=init), threshold
+    return train(feats, labels, arch, config, init=init), threshold
 
 
 def _score_network(net, pre: Preprocessor, test_set, seed: int) -> EvalReport:
@@ -106,7 +108,7 @@ def _scan_versus_network(recipe, scenario, method, pre, start, train_size, thres
         run_seed = seed + 1000 * k
         train_set = gen_scenario(ScenarioSpec(scenario, size=train_size, role="train"), run_seed)
         threshold = tune_threshold(scan_statistics(method, train_set.values), train_set.labels)
-        net, net_threshold = _train_network(train_set, pre, start,
+        net, net_threshold = _train_network(pre.apply(train_set.values), train_set.labels, start,
                                             TrainConfig(epochs=_EPOCHS, seed=run_seed))
         del train_set
         # The test set is scored a block at a time as it is drawn.  Its
@@ -176,22 +178,32 @@ def table1(seed: int) -> dict:
 
     The oracle thresholds are tuned per change type on the training
     mixture; the network is a depth-5 multilayer perceptron on
-    (scaled x, scaled x^2) features.  The recipe trains before it draws
-    its test mixture, so only one mixture is in memory at a time.
+    (scaled x, scaled x^2) features.  The training mixture is streamed a
+    block of rows at a time into the feature matrix and each oracle
+    test's scan statistics, which keep row order, so the raw mixture is
+    never held.  The recipe trains and frees the features before it
+    draws its test mixture.
     """
     regime, per_class_train, per_class_test, epochs = "strong", 400, 200, 200
     pre = Preprocessor((("unit_scale",), (("square",), ("unit_scale",))))
 
-    train_set = gen_multiclass(MulticlassSpec(regime, per_class=per_class_train), seed)
+    spec = MulticlassSpec(regime, per_class=per_class_train)
+    feats = np.empty((5 * per_class_train, pre.output_dim(spec.n)))
+    labels = np.empty(len(feats), dtype=np.int64)
+    stats = {kind: [] for kind, *_ in _ORACLE_TESTS}
+    for block, block_labels, rows in multiclass_blocks(spec, seed, feats.shape[1]):
+        feats[block] = pre.apply(rows)
+        labels[block] = block_labels
+        for kind, method, fired, idle, _ in _ORACLE_TESTS:
+            stats[kind].append(scan_statistics(method, rows[np.isin(block_labels, (fired, idle))]))
     thresholds = {}
     for kind, method, fired, idle, _ in _ORACLE_TESTS:
-        mask = np.isin(train_set.labels, (fired, idle))
-        thresholds[kind] = tune_threshold(scan_statistics(method, train_set.values[mask]),
-                                          train_set.labels[mask] == fired)
-    width = 4 * (train_set.n.bit_length() - 1)
-    net, _ = _train_network(train_set, pre, (width,) * 5,
+        tested = labels[np.isin(labels, (fired, idle))]
+        thresholds[kind] = tune_threshold(np.concatenate(stats[kind]), tested == fired)
+    width = 4 * (spec.n.bit_length() - 1)
+    net, _ = _train_network(feats, labels, (width,) * 5,
                             TrainConfig(epochs=epochs, seed=seed, lr_decay=0.02), 5)
-    del train_set
+    del feats
 
     test_set = gen_multiclass(MulticlassSpec(regime, per_class=per_class_test), seed + 1)
     oracle_report = mer_from_predictions(

@@ -30,9 +30,11 @@ first, and each example is written straight into its shuffled row of
 one preallocated ``(N, n)`` array, so a dataset is held once: the AR(1)
 recursion of S1' and S2 runs in place on its rows, a block of rows at a
 time, and each change row then adds its step in place.  The block
-stream :func:`scenario_blocks` gives the same rows and labels one block
-at a time in one reused buffer, without metadata, so a consumer that
-scores each block as it comes never holds the whole dataset.
+streams :func:`scenario_blocks` and :func:`multiclass_blocks` give the
+same rows and labels as :func:`gen_scenario` and :func:`gen_multiclass`
+one block at a time in one reused buffer, without metadata, so a
+consumer that uses each block as it comes never holds the whole
+dataset.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -57,6 +60,7 @@ __all__ = [
     "scenario_blocks",
     "regenerate_example",
     "gen_multiclass",
+    "multiclass_blocks",
     "gen_piecewise",
 ]
 
@@ -91,6 +95,10 @@ SLOPE_NOISE_SD = 0.5  # noise variance 0.25 for slope-change data
 _MAX_REJECTION_DRAWS = 10**6
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Recipe for one binary scenario dataset; ``scenario`` is one of ``SCENARIOS`` exactly."""
@@ -103,10 +111,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.n < 4:
-            raise ValueError(f"series length must be >= 4, got {self.n}")
-        if self.size < 2 or self.size % 2:
-            raise ValueError(f"dataset size must be even and >= 2, got {self.size}")
+        if not (_is_integer(self.n) and self.n >= 4):
+            raise ValueError(f"series length n must be an integer >= 4, got {self.n!r}")
+        if not (_is_integer(self.size) and self.size >= 2 and self.size % 2 == 0):
+            raise ValueError(f"dataset size must be an even integer >= 2, got {self.size!r}")
         if self.role not in _MAGNITUDE_BANDS:
             raise ValueError(f"role must be 'train' or 'test', got {self.role!r}")
 
@@ -129,8 +137,8 @@ class MulticlassSpec:
     def __post_init__(self):
         if self.regime not in _DIFF_BANDS:
             raise ValueError(f"regime must be 'weak' or 'strong', got {self.regime!r}")
-        if self.per_class < 1:
-            raise ValueError("per_class must be >= 1")
+        if not (_is_integer(self.per_class) and self.per_class >= 1):
+            raise ValueError(f"per_class must be an integer >= 1, got {self.per_class!r}")
 
 
 @dataclass
@@ -250,6 +258,30 @@ def _shuffle_order(spec: ScenarioSpec, seed: int) -> tuple[np.ndarray, np.ndarra
     return order, (order < spec.size // 2).astype(np.int64)
 
 
+def _dataset(order: np.ndarray, labels: np.ndarray, n: int, fill_rows) -> LabeledDataset:
+    """The dataset whose row ``i`` is example ``order[i]``, filled a block of rows at a time.
+
+    ``fill_rows(indices, out)`` writes examples ``indices`` into the rows
+    of ``out`` and returns their metadata.
+    """
+    values = np.empty((len(order), n))
+    metas = []
+    for block in _row_blocks(len(order), n):
+        # Python ints index rows faster than numpy integers.
+        metas += fill_rows(order[block].tolist(), values[block])
+    return LabeledDataset(values, labels, metas)
+
+
+def _blocks(order: np.ndarray, labels: np.ndarray, n: int, width: int, fill_rows):
+    """Yield ``(block, labels[block], rows)`` of :func:`_dataset`'s rows, one reused buffer."""
+    blocks = _row_blocks(len(order), width)
+    buffer = np.empty((blocks[0].stop, n))  # the first block is the longest
+    for block in blocks:
+        rows = buffer[:block.stop - block.start]
+        fill_rows(order[block].tolist(), rows)
+        yield block, labels[block], rows
+
+
 def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     """Generate a shuffled scenario dataset, half change and half no-change.
 
@@ -259,13 +291,7 @@ def gen_scenario(spec: ScenarioSpec, seed: int) -> LabeledDataset:
     Row ``i`` holds example ``order[i]`` of the shuffle order, which is
     drawn first; the rows are filled a block at a time.
     """
-    order, labels = _shuffle_order(spec, seed)
-    values = np.empty((spec.size, spec.n))
-    metas = []
-    for block in _row_blocks(spec.size, spec.n):
-        # Python ints index rows faster than numpy integers.
-        metas += _scenario_rows(spec, seed, order[block].tolist(), values[block])
-    return LabeledDataset(values, labels, metas)
+    return _dataset(*_shuffle_order(spec, seed), spec.n, partial(_scenario_rows, spec, seed))
 
 
 def scenario_blocks(spec: ScenarioSpec, seed: int, width: int):
@@ -278,13 +304,7 @@ def scenario_blocks(spec: ScenarioSpec, seed: int, width: int):
     before asking for the next block; the whole dataset and its
     metadata are never held.
     """
-    order, labels = _shuffle_order(spec, seed)
-    blocks = _row_blocks(spec.size, width)
-    buffer = np.empty((blocks[0].stop, spec.n))  # the first block is the longest
-    for block in blocks:
-        rows = buffer[:block.stop - block.start]
-        _scenario_rows(spec, seed, order[block].tolist(), rows)
-        yield block, labels[block], rows
+    return _blocks(*_shuffle_order(spec, seed), spec.n, width, partial(_scenario_rows, spec, seed))
 
 
 def regenerate_example(spec: ScenarioSpec, seed: int, index: int):
@@ -343,6 +363,19 @@ def _multiclass_example(spec: MulticlassSpec, seed: int, index: int, t: np.ndarr
     return meta
 
 
+def _multiclass_rows(spec: MulticlassSpec, seed: int, indices: list[int], out: np.ndarray):
+    """Write mixture examples ``indices`` into the rows of ``out``; return their metadata."""
+    t = np.arange(1, spec.n + 1, dtype=np.float64)
+    return [_multiclass_example(spec, seed, index, t, row) for index, row in zip(indices, out)]
+
+
+def _multiclass_order(spec: MulticlassSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, labels)``: row ``i`` holds example ``order[i]`` of class ``labels[i]``."""
+    size = 5 * spec.per_class
+    order = _example_rng(seed, size).permutation(size)
+    return order, order // spec.per_class + 1
+
+
 def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
     """Generate the five-class mixture with ``spec.per_class`` examples per class.
 
@@ -353,17 +386,20 @@ def gen_multiclass(spec: MulticlassSpec, seed: int) -> LabeledDataset:
     :func:`gen_scenario`, row ``i`` holds example ``order[i]`` of the
     shuffle order drawn first.
     """
-    size = 5 * spec.per_class
-    order = _example_rng(seed, size).permutation(size)
-    values = np.empty((size, spec.n))
-    t = np.arange(1, spec.n + 1, dtype=np.float64)
-    metas = [_multiclass_example(spec, seed, index, t, row)
-             for index, row in zip(order.tolist(), values)]
-    return LabeledDataset(values, order // spec.per_class + 1, metas)
+    return _dataset(*_multiclass_order(spec, seed), spec.n,
+                    partial(_multiclass_rows, spec, seed))
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def multiclass_blocks(spec: MulticlassSpec, seed: int, width: int):
+    """Yield ``(block, labels, rows)`` of ``gen_multiclass(spec, seed)``, one row block at a time.
+
+    The multiclass counterpart of :func:`scenario_blocks`: the blocks are
+    ``cpdlab.cusum._row_blocks(5 * spec.per_class, width)``, their
+    ``labels`` and ``rows`` equal the dataset's bit for bit, and ``rows``
+    is a view of one buffer that the next block overwrites.
+    """
+    return _blocks(*_multiclass_order(spec, seed), spec.n, width,
+                   partial(_multiclass_rows, spec, seed))
 
 
 def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0,

@@ -49,6 +49,35 @@ def _scenario_dataset(spec):
     return simulate.gen_scenario(spec, seed=5)
 
 
+@functools.cache
+def _multiclass_dataset(spec):
+    return simulate.gen_multiclass(spec, seed=5)
+
+
+@pytest.mark.parametrize("make, kwargs, field", [
+    (functools.partial(ScenarioSpec, "S1"), {"size": 12.0}, "dataset size"),
+    (functools.partial(ScenarioSpec, "S1"), {"size": True}, "dataset size"),
+    (functools.partial(ScenarioSpec, "S1"), {"size": np.float64(12.0)}, "dataset size"),
+    (functools.partial(ScenarioSpec, "S1"), {"n": 50.5}, "series length n"),
+    (functools.partial(ScenarioSpec, "S1"), {"n": 50.0}, "series length n"),
+    (functools.partial(ScenarioSpec, "S1"), {"n": True}, "series length n"),
+    (functools.partial(MulticlassSpec, "strong"), {"per_class": 2.5}, "per_class"),
+    (functools.partial(MulticlassSpec, "strong"), {"per_class": True}, "per_class"),
+    (functools.partial(MulticlassSpec, "strong"), {"per_class": 0}, "per_class"),
+], ids=["float-size", "bool-size", "numpy-float-size", "fractional-n", "float-n", "bool-n",
+        "fractional-per-class", "bool-per-class", "zero-per-class"])
+def test_spec_rejects_a_count_that_is_not_an_integer(make, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        make(**kwargs)
+
+
+def test_spec_accepts_numpy_integer_counts():
+    spec = ScenarioSpec("S1", n=np.int64(50), size=np.int64(12))
+    assert simulate.gen_scenario(spec, seed=1).values.shape == (12, 50)
+    mixture = simulate.gen_multiclass(MulticlassSpec("weak", per_class=np.int64(2)), seed=1)
+    assert mixture.values.shape == (10, MulticlassSpec.n)
+
+
 class TestScenarios:
     def test_label_balance(self):
         ds = simulate.gen_scenario(ScenarioSpec("S1", size=40), seed=0)
@@ -277,6 +306,21 @@ class TestChangetypes:
 
 
 class TestMulticlass:
+    @pytest.mark.parametrize("regime", ["weak", "strong"])
+    @settings(max_examples=5, deadline=None)
+    @given(width=st.integers(713, 1724))
+    def test_blocks_concatenate_to_the_dataset(self, regime, width):
+        # 185 = 5 x 37 rows in blocks of 38 to 91 rows: at least three
+        # blocks, and the last one short.
+        spec = MulticlassSpec(regime, per_class=37)
+        blocks, labels, values = zip(*((block, labels, rows.copy()) for block, labels, rows
+                                       in simulate.multiclass_blocks(spec, 5, width)))
+        assert list(blocks) == _row_blocks(5 * spec.per_class, width)
+        assert len(blocks) >= 3 and len(values[-1]) < len(values[0])
+        ds = _multiclass_dataset(spec)
+        assert np.concatenate(labels).tobytes() == ds.labels.tobytes()
+        assert np.concatenate(values).tobytes() == ds.values.tobytes()
+
     def test_counts_taus_and_bands(self):
         # Both regimes, and the mean, sd and slope band of each.
         for seed, regime in enumerate(("weak", "strong"), start=7):
