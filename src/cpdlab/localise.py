@@ -6,6 +6,9 @@ verdicts with a length-``n`` running mean, and reports one estimated
 change point per maximal stretch where the running mean stays at or
 above a vote threshold ``gamma``.  Within each stretch the estimate is
 the position of the largest running mean (smallest index on ties).
+The running mean is the exact integer count of firing windows among
+``n`` consecutive ones, divided by ``n``: a unanimous stretch votes
+exactly 1.0 and equal counts tie exactly, whatever ``n`` is.
 
 Positions are 1-based: window ``i`` covers series entries ``i`` to
 ``i + n - 1``, and an estimated change point ``t`` means the generating
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cusum import _step_contrast, as_series, dyadic_grid
+from .cusum import _step_weights, as_series, dyadic_grid
 from .network import predict
 
 __all__ = [
@@ -40,8 +43,9 @@ class WindowClassifier:
     """A window length plus a labeller of every window of a long series.
 
     ``label_series(series)`` receives a series already validated by
-    :func:`sliding_labels` and returns the 0/1 labels, one per offset:
-    entry ``i-1`` is the verdict on the window starting at position ``i``.
+    :func:`sliding_labels` or :func:`localise` and returns the 0/1
+    labels, one per offset: entry ``i-1`` is the verdict on the window
+    starting at position ``i``.
     """
 
     length: int
@@ -79,11 +83,16 @@ def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassif
     Every contrast is evaluated on every window at once from prefix sums
     of the full series; this matches the per-window scan up to rounding
     of order 1e-12, which only matters for statistics exactly at the
-    threshold.
+    threshold.  The scan runs in place: each grid point's contrast is
+    built in two work vectors allocated once per series and folded into
+    the running maximum, and the grid's step weights are computed once
+    per classifier.
     """
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be a finite positive number, got {threshold}")
     grid = dyadic_grid(length)
+    head_weights, tail_weights = _step_weights(grid, length)
+    steps = list(zip(grid.tolist(), head_weights.tolist(), tail_weights.tolist()))
 
     def label_series(series):
         n = length
@@ -91,9 +100,15 @@ def cusum_star_window_classifier(length: int, threshold: float) -> WindowClassif
         prefix = np.concatenate([[0.0], np.cumsum(series)])
         start, stop = prefix[:count], prefix[n:]
         best = np.zeros(count)
-        for t in grid:
+        head, tail = np.empty(count), np.empty(count)
+        for t, head_weight, tail_weight in steps:
             split = prefix[t:t + count]
-            np.maximum(best, np.abs(_step_contrast(split - start, stop - split, t, n)), out=best)
+            np.subtract(split, start, out=head)
+            head *= head_weight
+            np.subtract(stop, split, out=tail)
+            tail *= tail_weight
+            head -= tail
+            np.maximum(best, np.abs(head, out=head), out=best)
         return (best > threshold).astype(np.int64)
 
     return WindowClassifier(length, label_series)
@@ -115,9 +130,11 @@ class LocalisationResult:
 
     ``running_mean[j]`` is the vote average over windows
     ``j+1 .. j+n`` (1-based window indices ``i = n .. len(series)-n+1``
-    map to ``running_mean[i - n]``).  ``segments`` holds the maximal
-    1-based index ranges where the running mean reached the vote
-    threshold, one estimated change point per segment.
+    map to ``running_mean[i - n]``): the exact count ``k`` of firing
+    windows among them divided by ``n``, so it is the correctly rounded
+    ``k/n``.  ``segments`` holds the maximal 1-based index ranges where
+    the running mean reached the vote threshold, one estimated change
+    point per segment.
     """
 
     change_points: list[int]
@@ -142,9 +159,12 @@ def localise(series, classifier: WindowClassifier, gamma: float = 0.5) -> Locali
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     n = classifier.length
     series = as_series(series, min_len=2 * n)
-    labels = sliding_labels(series, classifier)
-    window = np.ones(n) / n
-    running = np.convolve(labels.astype(np.float64), window, mode="valid")
+    labels = np.asarray(classifier.label_series(series), dtype=np.int64)
+    # Integer window sums from one cumulative count, so the vote is the
+    # correctly rounded k/n: a sum of n rounded copies of 1/n can leave
+    # a unanimous vote below 1.0 when n is not a power of two.
+    votes = np.concatenate(([0], np.cumsum(labels)))
+    running = (votes[n:] - votes[:-n]) / n
 
     # Segments run between the rising and falling edges of the vote;
     # ``stops`` are exclusive.

@@ -21,20 +21,20 @@ changes.  Its series length, change margin and parameter ranges are
 fixed tables, and only the signal regime (weak or strong) and the
 number of examples per class are chosen by the caller.
 
-Every generator is a pure function of its spec and seed.  Example ``k``
-of a dataset is generated from the sub-seed ``SeedSequence(seed,
-spawn_key=(k,))``, so any single example can be regenerated without
-touching the others; the shuffle that mixes change and no-change halves
-uses one extra sub-seed, ``(seed, N)``.  That shuffle order is drawn
-first, and each example is written straight into its shuffled row of
-one preallocated ``(N, n)`` array, so a dataset is held once: the AR(1)
-recursion of S1' and S2 runs in place on its rows, a block of rows at a
-time, and each change row then adds its step in place.  The block
-streams :func:`scenario_blocks` and :func:`multiclass_blocks` give the
-same rows and labels as :func:`gen_scenario` and :func:`gen_multiclass`
-one block at a time in one reused buffer, without metadata, so a
-consumer that uses each block as it comes never holds the whole
-dataset.
+Every generator is a pure function of its spec and seed, an integer >= 0
+checked once per call.  Example ``k`` of a dataset is generated from the
+sub-seed ``SeedSequence(seed, spawn_key=(k,))``, so any single example
+can be regenerated without touching the others; the shuffle that mixes
+change and no-change halves uses one extra sub-seed, ``(seed, N)``.
+That shuffle order is drawn first, and each example is written straight
+into its shuffled row of one preallocated ``(N, n)`` array, so a dataset
+is held once: the AR(1) recursion of S1' and S2 runs in place on its
+rows, a block of rows at a time, and each change row then adds its step
+in place.  The block streams :func:`scenario_blocks` and
+:func:`multiclass_blocks` give the same rows and labels as
+:func:`gen_scenario` and :func:`gen_multiclass` one block at a time in
+one reused buffer, without metadata, so a consumer that uses each block
+as it comes never holds the whole dataset.
 """
 
 from __future__ import annotations
@@ -97,6 +97,11 @@ _MAX_REJECTION_DRAWS = 10**6
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> None:
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,7 @@ def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.nd
 
 def _shuffle_order(spec: ScenarioSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, labels)``: row ``i`` holds example ``order[i]``, labelled 1 for a change."""
+    _check_seed(seed)
     order = _example_rng(seed, spec.size).permutation(spec.size)
     return order, (order < spec.size // 2).astype(np.int64)
 
@@ -309,8 +315,9 @@ def scenario_blocks(spec: ScenarioSpec, seed: int, width: int):
 
 def regenerate_example(spec: ScenarioSpec, seed: int, index: int):
     """Rebuild example ``index`` (pre-shuffle position) of a scenario dataset."""
-    if not 0 <= index < spec.size:
-        raise ValueError(f"index must lie in [0, {spec.size}), got {index}")
+    _check_seed(seed)
+    if not (_is_integer(index) and 0 <= index < spec.size):
+        raise ValueError(f"index must be an integer in [0, {spec.size}), got {index!r}")
     values = np.empty((1, spec.n))
     meta = _scenario_rows(spec, seed, [index], values)[0]
     return values[0], int(index < spec.size // 2), meta
@@ -371,6 +378,7 @@ def _multiclass_rows(spec: MulticlassSpec, seed: int, indices: list[int], out: n
 
 def _multiclass_order(spec: MulticlassSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, labels)``: row ``i`` holds example ``order[i]`` of class ``labels[i]``."""
+    _check_seed(seed)
     size = 5 * spec.per_class
     order = _example_rng(seed, size).permutation(size)
     return order, order // spec.per_class + 1
@@ -412,12 +420,13 @@ def gen_piecewise(length: int, taus, means, noise_sd: float = 1.0, seed: int = 0
     segments, must span at least that many points; the downstream
     sliding-window localiser needs spacing >= twice its window length.
     ``length`` must be an integer >= 1, ``taus`` integers, ``means``
-    finite and ``noise_sd`` finite and >= 0.
+    finite, ``noise_sd`` finite and >= 0 and ``seed`` an integer >= 0.
 
     Returns ``(series, metadata)``.
     """
     if not (_is_integer(length) and length >= 1):
         raise ValueError(f"length must be an integer >= 1, got {length!r}")
+    _check_seed(seed)
     taus = list(taus)
     if not all(map(_is_integer, taus)):
         raise ValueError(f"taus must be integers, got {taus}")

@@ -63,15 +63,18 @@ class TestSlidingLabels:
         labels = sliding_labels(rng.standard_normal(200), clf)
         assert labels.sum() == 0
 
-    def test_vectorised_path_matches_loop(self):
-        rng = np.random.default_rng(1)
-        series = rng.standard_normal(120)
-        series[60:] += 3.0
-        clf = cusum_star_window_classifier(16, 2.0)
-        fast = sliding_labels(series, clf)
-        windows = np.lib.stride_tricks.sliding_window_view(series, 16)
-        slow = (cusum.cusum_star_statistic(windows)[0] > 2.0).astype(np.int64)
-        np.testing.assert_array_equal(fast, slow)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.one_of(st.sampled_from([4, 8, 16, 32, 64, 128]), st.integers(4, 200)),
+           st.integers(0, 2**32 - 1), st.floats(0.5, 4.0))
+    def test_vectorised_path_matches_loop(self, n, seed, threshold):
+        rng = np.random.default_rng(seed)
+        series = rng.standard_normal(2 * n + 40)
+        series[n + 20:] += 3.0
+        fast = sliding_labels(series, cusum_star_window_classifier(n, threshold))
+        windows = np.lib.stride_tricks.sliding_window_view(series, n)
+        statistic = cusum.cusum_star_statistic(windows)[0]
+        clear = np.abs(statistic - threshold) > 1e-9
+        np.testing.assert_array_equal(fast[clear], (statistic > threshold)[clear])
 
 
 class TestLocalise:
@@ -159,6 +162,25 @@ class TestLocalise:
         assert result.segments == segments
         assert result.change_points == change_points
         assert all(type(t) is int for t in change_points + [i for s in segments for i in s])
+
+    def test_unanimous_vote_reaches_gamma_for_any_window(self):
+        # 9 of 10 windows fire on a clean step, so the peak vote must be
+        # exactly 9/10 == 0.9 for gamma 0.9 to find the change.
+        series, _ = gen_piecewise(200, [100], [0.0, 50.0], seed=0)
+        result = localise(series, cusum_star_window_classifier(10, 3.0), 0.9)
+        assert result.change_points == [100]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(4, 300), st.integers(1, 400), st.integers(0, 2**32 - 1), st.data())
+    def test_running_mean_is_the_exact_vote_count_over_n(self, n, extra, seed, data):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n + extra)
+        run = data.draw(st.integers(0, extra), label="run start")
+        labels[run:run + n] = 1
+        result = localise(np.zeros(labels.size + n - 1), _fixed_labels_classifier(n, labels))
+        counts = [int(labels[j:j + n].sum()) for j in range(extra + 1)]
+        assert result.running_mean.tolist() == [k / n for k in counts]
+        assert result.running_mean[run] == 1.0
 
     def test_input_validation(self):
         clf = _constant_classifier(16, 0)

@@ -78,6 +78,56 @@ def test_spec_accepts_numpy_integer_counts():
     assert mixture.values.shape == (10, MulticlassSpec.n)
 
 
+_SEEDED_CALLS = {
+    "gen_scenario": lambda seed: simulate.gen_scenario(ScenarioSpec("S1", size=4), seed),
+    # No block is asked for: the seed is checked when the stream is made.
+    "scenario_blocks": lambda seed: simulate.scenario_blocks(ScenarioSpec("S1", size=4), seed, 10),
+    "gen_multiclass": lambda seed: simulate.gen_multiclass(MulticlassSpec("weak", 1), seed),
+    "multiclass_blocks": lambda seed: simulate.multiclass_blocks(MulticlassSpec("weak", 1), seed,
+                                                                 10),
+    "regenerate_example": lambda seed: simulate.regenerate_example(ScenarioSpec("S1", size=4),
+                                                                   seed, 1),
+    "gen_piecewise": lambda seed: simulate.gen_piecewise(20, [10], [0.0, 1.0], seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True, -1, "7"],
+                         ids=["fractional", "float", "numpy-float", "bool", "negative", "string"])
+@pytest.mark.parametrize("name", list(_SEEDED_CALLS))
+def test_generators_reject_a_seed_that_is_not_a_non_negative_integer(name, seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        _SEEDED_CALLS[name](seed)
+
+
+def _drawn_values(result):
+    """The series that a call in ``_SEEDED_CALLS`` drew, as one array."""
+    if isinstance(result, simulate.LabeledDataset):
+        return result.values
+    if isinstance(result, tuple):  # gen_piecewise and regenerate_example
+        return result[0]
+    return np.concatenate([rows.copy() for _, _, rows in result])  # a block stream
+
+
+@pytest.mark.parametrize("name", list(_SEEDED_CALLS))
+def test_generators_accept_numpy_integer_seeds(name):
+    np.testing.assert_array_equal(_drawn_values(_SEEDED_CALLS[name](np.int64(3))),
+                                  _drawn_values(_SEEDED_CALLS[name](3)))
+
+
+@pytest.mark.parametrize("index", [2.0, np.float64(1.0), True, -1, 4],
+                         ids=["float", "numpy-float", "bool", "negative", "size"])
+def test_regenerate_example_rejects_a_bad_index(index):
+    with pytest.raises(ValueError, match="index must be an integer in"):
+        simulate.regenerate_example(ScenarioSpec("S1", size=4), 0, index)
+
+
+def test_regenerate_example_accepts_a_numpy_integer_index():
+    spec = ScenarioSpec("S1", size=4)
+    values, label, meta = simulate.regenerate_example(spec, 0, np.int64(1))
+    assert values.tobytes() == simulate.regenerate_example(spec, 0, 1)[0].tobytes()
+    assert label == 1
+
+
 class TestScenarios:
     def test_label_balance(self):
         ds = simulate.gen_scenario(ScenarioSpec("S1", size=40), seed=0)
