@@ -1,11 +1,13 @@
-"""Command-line front end: simulate, train, detect, localise, evaluate, reproduce.
+"""Command-line front end: simulate, train, detect, localise, reproduce.
 
-Every command is a pure function of its arguments; the seed comes from
-``--seed`` alone (default 7).  Each option is declared once and accepted
-in that one spelling only, with no prefix of it (the dataset size is
-``--N``), and the scan names are ``evaluate.SCAN_METHODS``.  A network
-file carries the preprocessor it was trained with, and ``--method net``
-applies it.
+Every command is a pure function of its arguments; the seed of the
+commands that draw (simulate, train, reproduce) comes from ``--seed``
+alone (default 7, never negative).  Each option is declared once and
+accepted in that one spelling only, with no prefix of it (the dataset
+size is ``--N``), and the scan names are ``evaluate.SCAN_METHODS``.
+``detect`` scores a scan at ``--threshold``, or at the threshold it
+tunes on the labelled ``--train`` file.  A network file carries the
+preprocessor it was trained with, and ``--method net`` applies it.
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 arguments, which includes an option that the chosen use of its command
 does not read.
@@ -31,7 +33,7 @@ from .dataio import (
     save_values,
     write_report,
 )
-from .evaluate import SCAN_METHODS, mer_from_predictions, scan_report, scan_statistics
+from .evaluate import SCAN_METHODS, mer_from_predictions, scan_statistics, tune_threshold
 from .localise import cusum_star_window_classifier, localise
 from .network import (
     Architecture,
@@ -77,12 +79,10 @@ _READS = {key: set(names.split()) for key, names in {
     ("simulate", "a scenario"): "seed scenario n size role",
     ("simulate", "--multiclass"): "seed multiclass per_class",
     ("detect", "a scan method"): "method threshold data",
+    ("detect", "--train"): "method train data",
     ("detect", "--method net"): "method net data",
     ("localise", "--threshold"): "data window threshold gamma",
     ("localise", "--snr-bound"): "data window snr_bound gamma",
-    ("evaluate", "--threshold"): "seed method test threshold",
-    ("evaluate", "--train"): "seed method test train",
-    ("evaluate", "--method net"): "seed method test net",
 }.items()}
 
 
@@ -141,27 +141,29 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _net_forward(args, values):
-    """``(scores, labels)`` of the ``--net`` network, whose own threshold decides."""
-    if not args.net:
-        raise ValueError("--net is required with method 'net'")
-    with open(args.net, encoding="ascii") as fh:
-        net, pre = network_from_json(fh.read())
-    return predict(net, pre, values)
-
-
 def _cmd_detect(args) -> int:
-    _check_options(args, "--method net" if args.method == "net" else "a scan method")
+    _check_options(args, "--method net" if args.method == "net"
+                   else "a scan method" if args.train is None else "--train")
     dataset = load_dataset(args.data)
+    threshold = args.threshold
     if args.method == "net":
-        scores, preds = _net_forward(args, dataset.values)
+        # The network's own threshold decides.
+        if not args.net:
+            raise ValueError("--net is required with method 'net'")
+        with open(args.net, encoding="ascii") as fh:
+            net, pre = network_from_json(fh.read())
+        scores, preds = predict(net, pre, dataset.values)
         stats = scores if scores.ndim == 1 else scores.max(axis=1)
     else:
-        if args.threshold is None:
-            raise ValueError("--threshold is required for scan methods")
+        if args.train is not None:
+            train_set = load_dataset(args.train)
+            threshold = tune_threshold(scan_statistics(args.method, train_set.values),
+                                       train_set.labels)
+        elif threshold is None:
+            raise ValueError("provide --threshold or --train")
         stats = scan_statistics(args.method, dataset.values)
-        preds = (stats > args.threshold).astype(np.int64)
-    report = mer_from_predictions(dataset.labels, preds, threshold=args.threshold,
+        preds = (stats > threshold).astype(np.int64)
+    report = mer_from_predictions(dataset.labels, preds, threshold=threshold,
                                   fingerprint=dataset.fingerprint())
     if str(args.out).endswith(".csv"):
         with open(args.out, "w", encoding="ascii") as fh:
@@ -208,26 +210,6 @@ def _cmd_localise(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    _check_options(args, "--method net" if args.method == "net"
-                   else "--train" if args.threshold is None else "--threshold")
-    test_set = load_dataset(args.test)
-    if args.method == "net":
-        _, preds = _net_forward(args, test_set.values)
-        report = mer_from_predictions(test_set.labels, preds, seed=args.seed,
-                                      fingerprint=test_set.fingerprint())
-    else:
-        if args.threshold is None and not args.train:
-            raise ValueError("provide --threshold or --train data to tune on")
-        train_set = load_dataset(args.train) if args.threshold is None else None
-        report = scan_report(args.method, train_set, test_set, threshold=args.threshold,
-                             seed=args.seed)
-    write_report({"command": "evaluate", "method": args.method,
-                  "report": report}, args.out)
-    print(f"MER {report.mer:.4f} on {report.size} examples -> {args.out}")
-    return 0
-
-
 def _cmd_reproduce(args) -> int:
     overrides = _given(args, "reps")
     if overrides and "reps" not in inspect.signature(RECIPES[args.recipe]).parameters:
@@ -247,10 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=7, help="random seed (default 7)")
-    detector = argparse.ArgumentParser(add_help=False)
-    detector.add_argument("--method", default="cusum", choices=(*SCAN_METHODS, "net"))
-    detector.add_argument("--threshold", type=float)
-    detector.add_argument("--net", help="network JSON (method 'net')")
 
     def command(name, func, help, *parents):
         p = sub.add_parser(name, help=help, parents=parents, allow_abbrev=False)
@@ -279,7 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preprocess", default="unit_scale",
                    help="channels separated by '|', steps by '+', e.g. 'truncate:3+unit_scale'")
 
-    p = command("detect", _cmd_detect, "run a detector over a dataset CSV", detector)
+    p = command("detect", _cmd_detect, "run a detector over a dataset CSV")
+    p.add_argument("--method", default="cusum", choices=(*SCAN_METHODS, "net"))
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--train", help="labelled CSV to tune a scan's threshold on")
+    p.add_argument("--net", help="network JSON (method 'net')")
     p.add_argument("--data", required=True)
 
     p = command("localise", _cmd_localise, "estimate change points in long series")
@@ -289,10 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-bound", type=float,
                    help="derive the dyadic-scan threshold from an SNR floor")
     p.add_argument("--gamma", type=float, default=0.5)
-
-    p = command("evaluate", _cmd_evaluate, "score a detector on a test CSV", seeded, detector)
-    p.add_argument("--test", required=True)
-    p.add_argument("--train", help="training CSV for threshold tuning")
 
     p = command("reproduce", _cmd_reproduce, "run a named experiment recipe", seeded)
     p.add_argument("recipe", choices=sorted(RECIPES))
@@ -339,6 +317,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         _check_out(args.out)
         return args.func(args)
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:

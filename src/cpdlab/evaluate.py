@@ -1,10 +1,9 @@
 """Scan scoring, threshold tuning and Monte-Carlo bound checks.
 
 :func:`scan_statistics` maps a scan method name to its batch kernel, and
-:func:`scan_report` tunes a scan on training draws unless a threshold is
-given, then scores the test draws, for the ``evaluate`` command.  The
-Figure 1 recipes tune with :func:`tune_threshold` and score their test
-draws a streamed block of rows at a time (:mod:`cpdlab.recipes`).
+:func:`tune_threshold` picks a scan's threshold on labelled training
+draws, for ``detect --train`` and the recipes; the Figure 1 recipes score
+their test draws a streamed block of rows at a time (:mod:`cpdlab.recipes`).
 Every report carries the seed and a dataset fingerprint so that any
 number appearing anywhere downstream can be regenerated bit-exactly.
 Monte-Carlo checks compare an empirical rate against a closed-form
@@ -41,7 +40,6 @@ __all__ = [
     "mer_from_predictions",
     "tune_threshold",
     "scan_statistics",
-    "scan_report",
     "monte_carlo_bound_check",
     "localisation_rmse",
     "batch_cusum_statistics",
@@ -97,8 +95,8 @@ def tune_threshold(stats, labels) -> float:
     """Grid-search the decision threshold minimising training MER.
 
     ``stats`` holds one statistic per training example and ``labels``
-    its 0/1 label; classification is ``statistic > threshold``.  The
-    grid spans [min, max] of the statistics with ``THRESHOLD_GRID_SIZE``
+    its 0/1 (or boolean) label; classification is ``statistic > threshold``.
+    The grid spans [min, max] of the statistics with ``THRESHOLD_GRID_SIZE``
     points.  Of the minimisers, the smallest threshold is returned.
     """
     stats = np.asarray(stats, dtype=np.float64)
@@ -107,6 +105,8 @@ def tune_threshold(stats, labels) -> float:
         raise ValueError("stats and labels must be equal-length vectors")
     if stats.size == 0:
         raise ValueError("cannot tune on an empty dataset")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"a threshold is tuned on 0/1 labels, got {np.unique(labels).tolist()}")
     grid = np.linspace(stats.min(), stats.max(), THRESHOLD_GRID_SIZE)
     preds = stats[None, :] > grid[:, None]
     errors = np.sum(preds != labels[None, :].astype(bool), axis=1)
@@ -139,20 +139,6 @@ def scan_statistics(method: str, X: np.ndarray) -> np.ndarray:
     if len(blocks) < 2:
         return scans[method](X)[0]
     return np.concatenate([scans[method](X[block])[0] for block in blocks])
-
-
-def scan_report(method: str, train_set, test_set, *, threshold: float | None = None,
-                seed: int | None = None) -> EvalReport:
-    """Score the decisions ``statistic > threshold`` of a scan on ``test_set``.
-
-    The threshold is tuned on the labelled ``train_set`` unless one is
-    given, in which case ``train_set`` is not read.
-    """
-    if threshold is None:
-        threshold = tune_threshold(scan_statistics(method, train_set.values), train_set.labels)
-    predictions = (scan_statistics(method, test_set.values) > threshold).astype(np.int64)
-    return mer_from_predictions(test_set.labels, predictions, threshold=threshold, seed=seed,
-                                fingerprint=test_set.fingerprint())
 
 
 @dataclass

@@ -12,7 +12,7 @@ import pytest
 from cpdlab import cli, cusum
 from cpdlab.cli import main
 from cpdlab.dataio import load_dataset, save_values
-from cpdlab.evaluate import SCAN_METHODS, scan_statistics
+from cpdlab.evaluate import SCAN_METHODS, scan_statistics, tune_threshold
 from cpdlab.network import (Architecture, Preprocessor, _init_network, embed_cusum,
                              network_to_json)
 from cpdlab.recipes import RECIPES
@@ -54,7 +54,7 @@ def test_seed_comes_from_the_flag_alone(tmp_path, monkeypatch):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_train_detect_evaluate_pipeline(tmp_path):
+def test_train_detect_pipeline(tmp_path):
     train_csv = tmp_path / "train.csv"
     test_csv = tmp_path / "test.csv"
     net_json = tmp_path / "net.json"
@@ -75,18 +75,67 @@ def test_train_detect_evaluate_pipeline(tmp_path):
     assert 0.0 <= report["report"]["mer"] <= 0.5
     assert len(report["decisions"]) == 200
 
-    eval_json = tmp_path / "eval.json"
-    code = run(["evaluate", "--method", "cusum", "--train", train_csv,
-                "--test", test_csv, "--out", eval_json])
+    tuned_json = tmp_path / "tuned.json"
+    code = run(["detect", "--method", "cusum", "--train", train_csv,
+                "--data", test_csv, "--out", tuned_json])
     assert code == 0
-    assert json.loads(eval_json.read_text())["report"]["mer"] < 0.5
+    assert json.loads(tuned_json.read_text())["report"]["mer"] < 0.5
 
 
-def test_detect_requires_threshold_for_scans(tmp_path):
+def test_detect_requires_threshold_for_scans(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(["simulate", "--N", 10, "--out", data])
     out = tmp_path / "r.json"
     assert run(["detect", "--method", "cusum", "--data", data, "--out", out]) == 2
+    assert "provide --threshold or --train" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detect_train_tunes_the_threshold_it_reports(tmp_path):
+    # On the CI's s.csv, detect --train reports what tune_threshold and
+    # scan_statistics give when called directly.
+    data = tmp_path / "s.csv"
+    assert run(["simulate", "--N", 200, "--seed", 1, "--out", data]) == 0
+    dataset = load_dataset(data)
+    out = tmp_path / "r.json"
+    for method in SCAN_METHODS:
+        assert run(["detect", "--method", method, "--train", data, "--data", data,
+                    "--out", out]) == 0
+        report = json.loads(out.read_text())
+        stats = scan_statistics(method, dataset.values)
+        threshold = tune_threshold(stats, dataset.labels)
+        decisions = (stats > threshold).astype(int)
+        assert report["report"]["threshold"] == threshold, method
+        assert report["report"]["mer"] == np.mean(decisions != dataset.labels), method
+        assert report["decisions"] == decisions.tolist(), method
+
+
+def test_detect_train_needs_zero_one_labels(tmp_path, capsys):
+    train, data = tmp_path / "m.csv", tmp_path / "s.csv"
+    run(["simulate", "--multiclass", "strong", "--per-class", 20, "--seed", 1, "--out", train])
+    run(["simulate", "--N", 200, "--seed", 1, "--out", data])
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["detect", "--method", "cusum", "--train", train, "--data", data,
+                "--out", out]) == 2
+    assert "0/1 labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_two_naming_the_option(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--N", 10, "--out", "s.csv"]) == 0
+    argv = {"simulate": ["simulate", "--N", 10], "train": ["train", "--data", "s.csv"],
+            "reproduce": ["reproduce", "grid-check"]}
+    seeded = {name for name, parser in _commands().items()
+              if any(a.dest == "seed" for a in parser._actions)}
+    assert seeded == set(argv)
+    for command in sorted(seeded):
+        capsys.readouterr()
+        assert run([*argv[command], "--seed", -1, "--out", "r.out"]) == 2, command
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert run(["reproduce", "null-rate", "--seed", -1, "--out", "r.out"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
 
 def test_detect_threshold_tie_is_zero(tmp_path):
@@ -126,8 +175,11 @@ def test_reproduce_writes_report_and_is_deterministic(tmp_path):
 
 
 def test_exit_codes(tmp_path, capsys):
-    # unknown recipe -> argparse error 2
+    # unknown recipe, or the removed evaluate command -> argparse error 2
     assert run(["reproduce", "figZZ", "--out", tmp_path / "x.json"]) == 2
+    assert run(["evaluate", "--method", "cusum", "--threshold", 3, "--test", tmp_path / "d.csv",
+                "--out", tmp_path / "x.json"]) == 2
+    assert not (tmp_path / "x.json").exists()
     # missing file -> config error 2
     assert run(["detect", "--method", "cusum", "--threshold", 1.0,
                 "--data", tmp_path / "absent.csv", "--out", tmp_path / "y.json"]) == 2
@@ -145,8 +197,6 @@ def test_exit_codes(tmp_path, capsys):
     for threshold in ("nan", "inf", "-inf", "-5", "0"):
         assert run(["detect", "--method", "cusum", "--threshold", threshold,
                     "--data", data, "--out", out]) == 2
-        assert run(["evaluate", "--method", "cusum", "--threshold", threshold,
-                    "--test", data, "--out", out]) == 2
         assert run(["localise", "--window", 4, "--threshold", threshold,
                     "--data", values, "--out", out]) == 2
     # an SNR bound that is not finite, or whose threshold overflows to inf -> 2
@@ -158,20 +208,18 @@ def test_exit_codes(tmp_path, capsys):
     net.write_text(network_to_json(embed_cusum(100, 3.0), Preprocessor((("identity",),))))
     assert run(["detect", "--method", "net", "--net", net, "--threshold", 50,
                 "--data", data, "--out", out]) == 2
-    assert run(["evaluate", "--method", "net", "--net", net, "--threshold", 50,
-                "--test", data, "--out", out]) == 2
     assert not out.exists()
     # an option the requested use of a command does not read -> 2, before any output
     for train in (tmp_path / "nonexistent.csv", data):
-        assert run(["evaluate", "--method", "cusum", "--threshold", 3, "--train", train,
-                    "--test", data, "--out", out]) == 2
+        assert run(["detect", "--method", "cusum", "--threshold", 3, "--train", train,
+                    "--data", data, "--out", out]) == 2
     assert run(["localise", "--threshold", 3, "--snr-bound", 1.5, "--window", 4,
                 "--data", values, "--out", out]) == 2
     for net_file in (tmp_path / "absent.json", net):
         assert run(["detect", "--method", "cusum", "--threshold", 3, "--net", net_file,
                     "--data", data, "--out", out]) == 2
-    assert run(["evaluate", "--method", "net", "--net", net, "--train", data,
-                "--test", data, "--out", out]) == 2
+    assert run(["detect", "--method", "net", "--net", net, "--train", data,
+                "--data", data, "--out", out]) == 2
     assert run(["simulate", "--multiclass", "strong", "--scenario", "S3", "--n", 50,
                 "--role", "test", "--out", out]) == 2
     assert run(["simulate", "--scenario", "S3", "--per-class", 7, "--out", out]) == 2
@@ -456,6 +504,7 @@ _OPTIONS = {
     "detect": [
         (("--method",), "method", "cusum", None, _METHODS, False),
         (("--threshold",), "threshold", None, float, None, False),
+        (("--train",), "train", None, None, None, False),
         (("--net",), "net", None, None, None, False),
         (("--data",), "data", None, None, None, True),
         (("--out",), "out", None, None, None, True),
@@ -466,15 +515,6 @@ _OPTIONS = {
         (("--threshold",), "threshold", None, float, None, False),
         (("--snr-bound",), "snr_bound", None, float, None, False),
         (("--gamma",), "gamma", 0.5, float, None, False),
-        (("--out",), "out", None, None, None, True),
-    ],
-    "evaluate": [
-        (("--seed",), "seed", 7, int, None, False),
-        (("--method",), "method", "cusum", None, _METHODS, False),
-        (("--test",), "test", None, None, None, True),
-        (("--train",), "train", None, None, None, False),
-        (("--threshold",), "threshold", None, float, None, False),
-        (("--net",), "net", None, None, None, False),
         (("--out",), "out", None, None, None, True),
     ],
     "reproduce": [
@@ -513,9 +553,8 @@ def test_scan_methods_are_the_scans_and_the_cli_choices():
     for method in ("net", "CUSUM", "cusum_star", ""):
         with pytest.raises(ValueError, match="unknown method"):
             scan_statistics(method, x)
-    for command in ("detect", "evaluate"):
-        (method,) = [a for a in _commands()[command]._actions if a.dest == "method"]
-        assert tuple(method.choices) == (*SCAN_METHODS, "net")
+    (method,) = [a for a in _commands()["detect"]._actions if a.dest == "method"]
+    assert tuple(method.choices) == (*SCAN_METHODS, "net")
 
 
 def _value(action):

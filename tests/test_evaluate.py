@@ -78,6 +78,16 @@ class TestTuneThreshold:
         with pytest.raises(ValueError, match="empty"):
             tune_threshold(np.zeros(0), np.zeros(0))
 
+    def test_labels_outside_zero_one_rejected(self):
+        # Cast to bool, every nonzero class would count as a change and
+        # the grid's first point would win unopposed.
+        for labels in ([1, 2, 3, 4, 5] * 2, [0, 1] * 4 + [-1, 0], [0.5] * 10):
+            with pytest.raises(ValueError, match="0/1 labels"):
+                tune_threshold(np.arange(10.0), labels)
+        booleans = np.arange(10.0) > 4.5
+        assert tune_threshold(np.arange(10.0), booleans) == tune_threshold(np.arange(10.0),
+                                                                           booleans.astype(int))
+
 
 class TestBatchStatistics:
     def test_matches_per_series_scan(self):
