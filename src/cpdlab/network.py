@@ -60,6 +60,7 @@ import numpy as np
 from .cusum import _row_blocks, cusum_basis, dyadic_grid
 from .dataio import dumps
 from .robust import zscore_truncate
+from .simulate import _is_integer
 
 __all__ = [
     "Architecture",
@@ -230,8 +231,10 @@ class TrainConfig:
     lr_decay: float = 0.0  # inverse time decay per epoch: lr / (1 + decay * epoch)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         constants = (self.learning_rate, self.beta1, self.beta2, self.adam_eps, self.lr_decay)
         if not all(math.isfinite(c) for c in constants):
             raise ValueError("optimiser constants must be finite")
@@ -523,6 +526,10 @@ def loss_and_gradient(net: Network, X, y, *, out: np.ndarray | None = None):
     ``ValueError``.  Without it a new vector is allocated.
     Duplicated examples leave both loss and gradient unchanged (mean
     reduction).  A non-finite loss raises :class:`TrainingError`.
+
+    This wrapper validates its input, builds the layer views of ``grad``
+    and calls the gradient routine that :func:`train` calls each step
+    with views it built once per run.
     """
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.shape == net.params.shape and out.flags.c_contiguous):
@@ -530,13 +537,18 @@ def loss_and_gradient(net: Network, X, y, *, out: np.ndarray | None = None):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
+    grad = np.empty_like(net.params) if out is None else out
+    return _gradient(net, X, y, _split(net.architecture, grad)), grad
+
+
+def _gradient(net: Network, X: np.ndarray, y, views) -> float:
+    """Loss of the float64 batch ``X``; its gradient goes into the layer ``views`` of one vector."""
     activations, scores = _forward_pass(net, X)
     loss, g = _loss_head(net, scores, y)
     if not math.isfinite(loss):
         raise TrainingError(f"non-finite loss {loss!r}; inputs or parameters diverged")
 
-    grad = np.empty_like(net.params) if out is None else out
-    d_weights, d_biases, d_output_bias = _split(net.architecture, grad)
+    d_weights, d_biases, d_output_bias = views
     np.matmul(g.T, activations[-1], out=d_weights[-1])
     np.negative(g.sum(axis=0), out=d_output_bias)
     # With one output, g @ W has a single product per entry; the broadcast
@@ -549,7 +561,7 @@ def loss_and_gradient(net: Network, X, y, *, out: np.ndarray | None = None):
         np.negative(delta.sum(axis=0), out=d_biases[l - 1])
         if l > 1:
             delta = delta @ net.weights[l - 1]
-    return loss, grad
+    return loss
 
 
 def _init_network(arch: Architecture, rng: np.random.Generator) -> Network:
@@ -584,9 +596,10 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     subnormal range are zeroed with their sign at each epoch's end, which
     cannot move a parameter, as ``alpha_t / eps_t = lr / (c1 * eps)``.
 
-    Each step gathers its batch with ``take`` and calls
-    :func:`loss_and_gradient` with one gradient vector allocated up
-    front (``out``), so a step allocates no parameter-sized array.
+    Each step gathers its batch with ``take`` and computes the gradient
+    of :func:`loss_and_gradient` into one vector allocated up front,
+    through layer views of it built once per run, so a step allocates no
+    parameter-sized array and repeats no validation.
     Non-integral labels for a multiclass network raise ``ValueError``.
     """
     X = np.atleast_2d(_finite_array(X))
@@ -624,7 +637,8 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
     current = replace(net, threshold=0.0, classes=classes)
     params = current.params
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    m_state, v_state, grad, tmp, denom = (_aligned_empty(params.size) for _ in range(5))
+    m_state, v_state, g, tmp, denom = (_aligned_empty(params.size) for _ in range(5))
+    views = _split(arch, g)
     m_state[:] = 0.0
     v_state[:] = 0.0
     step = 0
@@ -636,8 +650,7 @@ def train(X, y, arch: Architecture, config: TrainConfig = TrainConfig(),
             batch = order[start:start + config.batch_size]
             step += 1
             try:
-                _, g = loss_and_gradient(current, X.take(batch, axis=0), targets.take(batch),
-                                         out=grad)
+                _gradient(current, X.take(batch, axis=0), targets.take(batch), views)
             except TrainingError as exc:
                 raise _divergence(arch, params, epoch, step, str(exc)) from exc
             root_c2 = math.sqrt(1.0 - b2**step)

@@ -113,12 +113,16 @@ def zscore_truncate(x, z: float) -> np.ndarray:
     ``x`` is one series (n,) or a batch (N, n), clipped row by row, and
     ``z`` must be positive and finite.  Entries within the band are
     returned unchanged; the rest move to ``mean +/- z*sd``.  A constant
-    series (zero standard deviation) is returned as is.
+    series (zero standard deviation) is returned as is.  The squared
+    deviations and the clip share the one array that is returned; the
+    caller's ``x`` is never written.
     """
     if not 0 < z < np.inf:
         raise ValueError(f"z must be positive and finite, got {z}")
     x = _as_rows(x)
     mean = x.mean(axis=-1, keepdims=True)
-    sd = np.sqrt(np.mean((x - mean) ** 2, axis=-1, keepdims=True))
-    clipped = np.clip(x, mean - z * sd, mean + z * sd)
-    return np.where(sd == 0.0, x, clipped)
+    out = np.subtract(x, mean)
+    np.square(out, out=out)
+    sd = np.sqrt(out.mean(axis=-1, keepdims=True))
+    out[...] = x
+    return np.clip(out, mean - z * sd, mean + z * sd, out=out, where=sd != 0.0)

@@ -26,6 +26,10 @@ checked once per call.  Example ``k`` of a dataset is generated from the
 sub-seed ``SeedSequence(seed, spawn_key=(k,))``, so any single example
 can be regenerated without touching the others; the shuffle that mixes
 change and no-change halves uses one extra sub-seed, ``(seed, N)``.
+The sub-seeds are hashed a block of examples at a time, with
+SeedSequence's arithmetic on uint32 arrays, and each resulting PCG64
+state is set on one reused generator (:func:`_example_rngs`); the
+streams are numpy's own bit for bit.
 That shuffle order is drawn first, and each example is written straight
 into its shuffled row of one preallocated ``(N, n)`` array, so a dataset
 is held once: the AR(1) recursion of S1' and S2 runs in place on its
@@ -212,8 +216,97 @@ def _ar1_in_place(rho: np.ndarray, eps: np.ndarray) -> None:
         eps[..., t] = rho[..., t] * eps[..., t - 1] + eps[..., t]
 
 
-def _example_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier.
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(value: np.ndarray, h: int, mult: int):
+    """SeedSequence's hash of the uint32 array ``value`` under constant ``h``: ``(hashed, next h)``.
+
+    uint32 arithmetic wraps mod 2**32, as the C code does.
+    """
+    value = value ^ h
+    h = h * mult & _M32
+    value *= h
+    return value ^ value >> 16, h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words of ``value >= 0``; 0 is one word."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _pcg64_states(seed: int, indices: list[int]) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(index,)))`` per index.
+
+    SeedSequence's entropy is the seed's words, padded with zeros to its
+    pool of four, then the index's words.  Each entropy word is a uint32
+    array over the block, so the pool is mixed and hashed to PCG64's four
+    64-bit seed words for every example at once; an index shorter than
+    the longest skips the later words.  Python ints then finish PCG64's
+    seeding step, ``state = (s + inc) * mult + inc``.
+    """
+    count = len(indices)
+    seed_words = _words(int(seed))
+    entropy = [(np.full(count, word, dtype=np.uint32), None)
+               for word in seed_words + [0] * (4 - len(seed_words))]
+    for shift in range(0, 32 * len(_words(int(max(indices)))), 32):
+        live = np.array([index >> shift > 0 for index in indices]) if shift else None
+        entropy.append((np.array([index >> shift & _M32 for index in indices], dtype=np.uint32),
+                        live))
+    pool, h = [], _INIT_A
+    for word, _ in entropy[:4]:
+        word, h = _hash(word, h, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, h = _hash(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for source, live in entropy[4:]:
+        for dst in range(4):
+            word, h = _hash(source, h, _MULT_A)
+            word = _mix(pool[dst], word)
+            pool[dst] = word if live is None else np.where(live, word, pool[dst])
+    out, h = [], _INIT_B
+    for k in range(8):
+        word, h = _hash(pool[k % 4], h, _MULT_B)
+        out.append(word.astype(np.uint64))
+    pcg_words = [(out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*pcg_words):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128, inc))
+    return states
+
+
+def _example_rngs(seed: int, indices: list[int]):
+    """Yield, for each example in ``indices``, one reused Generator set to its stream.
+
+    Each yielded state equals ``np.random.default_rng(np.random.SeedSequence(
+    seed, spawn_key=(index,)))``; a consumer draws from the generator
+    before asking for the next example.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for state, inc in _pcg64_states(seed, indices):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.ndarray):
@@ -234,8 +327,7 @@ def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.nd
     elif rho is not None:
         rho = np.broadcast_to(rho, out.shape)
     metas = []
-    for row, index in enumerate(indices):
-        rng = _example_rng(seed, index)
+    for row, (index, rng) in enumerate(zip(indices, _example_rngs(seed, indices))):
         meta = {"index": index, "scenario": spec.scenario, "role": spec.role, "tau": None, "mu_right": None}
         if index < half:
             tau = int(rng.integers(2, n - 1))  # uniform on {2, ..., n-2}
@@ -260,7 +352,7 @@ def _scenario_rows(spec: ScenarioSpec, seed: int, indices: list[int], out: np.nd
 def _shuffle_order(spec: ScenarioSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, labels)``: row ``i`` holds example ``order[i]``, labelled 1 for a change."""
     _check_seed(seed)
-    order = _example_rng(seed, spec.size).permutation(spec.size)
+    order = next(_example_rngs(seed, [spec.size])).permutation(spec.size)
     return order, (order < spec.size // 2).astype(np.int64)
 
 
@@ -337,7 +429,7 @@ def _draw_in_band(rng, bounds, diff_band):
     )
 
 
-def _multiclass_example(spec: MulticlassSpec, seed: int, index: int, t: np.ndarray,
+def _multiclass_example(spec: MulticlassSpec, rng, index: int, t: np.ndarray,
                         out: np.ndarray) -> dict:
     """Write example ``index`` of the mixture into the row ``out`` and return its metadata.
 
@@ -346,11 +438,11 @@ def _multiclass_example(spec: MulticlassSpec, seed: int, index: int, t: np.ndarr
     ``a`` on ``t <= tau`` and ``b`` after it: a changing class draws tau
     and then an in-band pair, a constant class one value with tau = n.
     A slope is a line through 0 that bends at tau without a jump.
+    ``rng`` is the example's generator from :func:`_example_rngs`.
     """
     n, margin = spec.n, spec.margin
     label = index // spec.per_class + 1
     param, changes = _CLASSES[label]
-    rng = _example_rng(seed, index)
     meta = {"index": index, "label": label, "tau": None}
     if changes:
         tau = meta["tau"] = int(rng.integers(margin + 1, n - margin + 1))
@@ -373,14 +465,15 @@ def _multiclass_example(spec: MulticlassSpec, seed: int, index: int, t: np.ndarr
 def _multiclass_rows(spec: MulticlassSpec, seed: int, indices: list[int], out: np.ndarray):
     """Write mixture examples ``indices`` into the rows of ``out``; return their metadata."""
     t = np.arange(1, spec.n + 1, dtype=np.float64)
-    return [_multiclass_example(spec, seed, index, t, row) for index, row in zip(indices, out)]
+    return [_multiclass_example(spec, rng, index, t, row)
+            for index, rng, row in zip(indices, _example_rngs(seed, indices), out)]
 
 
 def _multiclass_order(spec: MulticlassSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, labels)``: row ``i`` holds example ``order[i]`` of class ``labels[i]``."""
     _check_seed(seed)
     size = 5 * spec.per_class
-    order = _example_rng(seed, size).permutation(size)
+    order = next(_example_rngs(seed, [size])).permutation(size)
     return order, order // spec.per_class + 1
 
 

@@ -544,6 +544,24 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"finite|< 1|2\*\*-1022"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("epochs", 2.5, 1), ("batch_size", 2.5, 1), ("seed", 1.5, 0),
+        ("epochs", True, 1), ("batch_size", True, 1), ("seed", True, 0),
+        ("epochs", 0, 1), ("batch_size", -2, 1), ("seed", -1, 0), ("seed", np.float64(3.0), 0),
+    ])
+    def test_config_rejects_a_count_or_seed_that_is_not_an_integer_in_range(self, field, value,
+                                                                              least):
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= {least}, got"):
+            TrainConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        X = np.random.default_rng(25).standard_normal((6, 3))
+        y = np.array([0, 1, 0, 1, 1, 0])
+        arch = Architecture(3, (4,), 1)
+        numpy_ints = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(3))
+        nets = [train(X, y, arch, cfg) for cfg in (numpy_ints, TrainConfig(2, 4, seed=3))]
+        assert nets[0].params.tobytes() == nets[1].params.tobytes()
+
     @pytest.mark.parametrize("labels", [[1.2, 1.7, 3.0, 1.2], [1.0, 2.0, math.nan, 1.0],
                                         [0.0, 1.0, math.inf, 0.0], ["a", "b", "c", "a"]])
     def test_non_integral_multiclass_labels_rejected(self, labels):

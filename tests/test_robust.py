@@ -79,6 +79,18 @@ class TestWilcoxonClassify:
         assert np.all(labels[1:] <= labels[:-1])
 
 
+_CLIP_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-170, 5e-324])
+
+
+def _zscore_truncate_reference(x, z):
+    """The clip as first written: new arrays for the deviations, the clip and the choice."""
+    x = np.asarray(x, dtype=np.float64)
+    mean = x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(np.mean((x - mean) ** 2, axis=-1, keepdims=True))
+    clipped = np.clip(x, mean - z * sd, mean + z * sd)
+    return np.where(sd == 0.0, x, clipped)
+
+
 class TestZscoreTruncate:
     def test_constant_unchanged(self):
         x = np.full(5, 3.0)
@@ -133,3 +145,27 @@ class TestZscoreTruncate:
         X[3, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             robust.zscore_truncate(X, 2.0)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(x=st.one_of(
+        arrays(np.float64, st.integers(2, 12), elements=_CLIP_VALUES),
+        arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 12)), elements=_CLIP_VALUES),
+    ), z=st.floats(0.1, 5.0), special=st.sampled_from(["none", "constant", "tiny"]))
+    def test_equals_the_out_of_place_formula(self, x, z, special):
+        row = x if x.ndim == 1 else x[0]
+        if special == "constant":
+            row[:] = row[0]
+        elif special == "tiny":  # deviations square to 0: sd is 0 but the row is not constant
+            row[:] = 0.0
+            row[0] = 1e-170
+        before = x.copy()
+        out = robust.zscore_truncate(x, z)
+        expected = _zscore_truncate_reference(x, z)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()  # the caller's array is never written
+
+    def test_a_row_whose_deviations_square_to_zero_keeps_its_values(self):
+        x = np.array([[1e-170, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 8.0]])
+        out = robust.zscore_truncate(x, 1.0)
+        assert out[0].tobytes() == x[0].tobytes()
+        assert out[1].tolist() == [0.0, 0.0, 0.0, 2.0 + np.sqrt(12.0)]  # the 8 is clipped

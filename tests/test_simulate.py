@@ -128,6 +128,46 @@ def test_regenerate_example_accepts_a_numpy_integer_index():
     assert label == 1
 
 
+def _numpy_rngs(seed, indices):
+    """The reference for ``simulate._example_rngs``: numpy's own sub-seeded generators."""
+    for index in indices:
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _states_and_draws(rngs):
+    return [(rng.bit_generator.state, rng.random(), rng.standard_normal(3).tobytes())
+            for rng in rngs]
+
+
+_SUB_SEED_INDICES = [0, 1, 654, 655, 2**32 - 1]  # 655 starts a block of 100-sample rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 3, 2**130 + 1])
+def test_example_rngs_equal_numpys_sub_seeds(seed):
+    assert (_states_and_draws(simulate._example_rngs(seed, _SUB_SEED_INDICES))
+            == _states_and_draws(_numpy_rngs(seed, _SUB_SEED_INDICES)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**140),
+       indices=st.lists(st.integers(0, 2**70) | st.integers(0, 2000), min_size=1, max_size=6))
+def test_example_rngs_equal_numpys_sub_seeds_property(seed, indices):
+    assert (_states_and_draws(simulate._example_rngs(seed, indices))
+            == _states_and_draws(_numpy_rngs(seed, indices)))
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 + 3])
+@pytest.mark.parametrize("index", [2**32 + 3, 2**33 + 5], ids=["change", "no-change"])
+def test_regenerate_example_beyond_one_index_word(monkeypatch, seed, index):
+    spec = ScenarioSpec("S2", n=20, size=2**34)
+    values, label, meta = simulate.regenerate_example(spec, seed, index)
+    monkeypatch.setattr(simulate, "_example_rngs", _numpy_rngs)
+    expected, expected_label, expected_meta = simulate.regenerate_example(spec, seed, index)
+    assert values.tobytes() == expected.tobytes()
+    assert (label, meta) == (expected_label, expected_meta)
+    assert label == (index < 2**33)
+
+
 class TestScenarios:
     def test_label_balance(self):
         ds = simulate.gen_scenario(ScenarioSpec("S1", size=40), seed=0)
@@ -419,7 +459,8 @@ class TestMulticlass:
         row = np.empty(spec.n)
         for x, label, meta in zip(ds.values, ds.labels, ds.metadata):
             assert label == meta["index"] // spec.per_class + 1
-            assert simulate._multiclass_example(spec, 5, meta["index"], t, row) == meta
+            rng = next(simulate._example_rngs(5, [meta["index"]]))
+            assert simulate._multiclass_example(spec, rng, meta["index"], t, row) == meta
             assert row.tobytes() == x.tobytes()
             if label == 1:  # the row's level is its drawn mean, noise sd 0.7
                 assert abs(x.mean() - meta["mu"]) < 4 * 0.7 / math.sqrt(spec.n)
